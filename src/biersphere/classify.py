@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from .bier import bier_sphere, render_mf
 from .complexes import SimplicialComplex, mask_of, popcount, vertices_of
 
 MAX_CANON_VERTICES = 10
@@ -157,6 +158,16 @@ def _enumerate_cached(m: int) -> tuple[SimplicialComplex, ...]:
     return tuple(seen[f] for f in sorted(seen))
 
 
+@lru_cache(maxsize=None)
+def bier_census(m: int) -> tuple[tuple[SimplicialComplex, SimplicialComplex], ...]:
+    """(K, Bier(K)) for each class K of enumerate_complexes(m), in that order.
+
+    Computed once per m and shared by classify_bier and the exhaustive
+    verification checks.
+    """
+    return tuple((K, bier_sphere(K).complex) for K in enumerate_complexes(m))
+
+
 @dataclass(frozen=True)
 class BierClass:
     representative: SimplicialComplex
@@ -187,15 +198,13 @@ def classify_bier(m: int) -> ClassificationReport:
     minimal non-faces, canonical form); the published S_i numbering for m = 4 is
     attached from the shipped golden tables.
     """
-    from .bier import bier_sphere, render_mf
     from . import golden
 
     if not 2 <= m <= 5:
         raise ValueError("classification supported for 2 <= m <= 5")
-    reps = enumerate_complexes(m)
+    census = bier_census(m)
     groups: dict[CanonicalForm, dict] = {}
-    for idx, K in enumerate(reps):
-        sphere = bier_sphere(K).complex
+    for idx, (_, sphere) in enumerate(census):
         form = canonical_form(sphere)
         entry = groups.setdefault(form, {"sphere": sphere, "sources": []})
         entry["sources"].append(idx)
@@ -223,4 +232,4 @@ def classify_bier(m: int) -> ClassificationReport:
                 golden_index=lookup.get(form),
             )
         )
-    return ClassificationReport(m=m, total_complexes=len(reps), classes=tuple(out))
+    return ClassificationReport(m=m, total_complexes=len(census), classes=tuple(out))

@@ -1,16 +1,13 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 parse or IO error, 2 violated domain precondition,
-3 verification failure.  BIER_THREADS caps worker parallelism; the current
-implementation is sequential, so any positive value is accepted and the cap
-is simply never exceeded.
+3 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -24,7 +21,7 @@ from .building import (
     write_off,
 )
 from .classify import classify_bier
-from .complexes import DegenerateComplexError, SimplicialComplex, popcount
+from .complexes import SimplicialComplex, vertices_of
 from .toric import (
     CharMatrix,
     bier_charmap,
@@ -45,17 +42,6 @@ class CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-
-
-def _threads() -> int:
-    raw = os.environ.get("BIER_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise CliError(EXIT_PARSE, f"BIER_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise CliError(EXIT_DOMAIN, "BIER_THREADS must be positive")
-    return n
 
 
 def _load_json(path: str) -> dict:
@@ -118,14 +104,14 @@ def cmd_invariants(args) -> int:
     try:
         f = K.f_vector()
         h = K.h_vector()
-    except DegenerateComplexError as exc:
+    except ValueError as exc:  # DegenerateComplexError, or h of a non-pure complex
         raise CliError(EXIT_DOMAIN, str(exc))
     mf = K.minimal_non_faces()
     source_m = obj.get("source_m")
     if source_m is not None and 2 * int(source_m) == K.m:
         rendered = render_mf(mf, int(source_m))
     else:
-        rendered = [sorted_vertices(s) for s in mf]
+        rendered = [list(vertices_of(s)) for s in mf]
     _emit(
         {
             "f": list(f),
@@ -139,19 +125,7 @@ def cmd_invariants(args) -> int:
     return EXIT_OK
 
 
-def sorted_vertices(mask: int) -> list[int]:
-    out = []
-    v = 1
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return out
-
-
 def cmd_classify(args) -> int:
-    _threads()
     if not 2 <= args.m <= 5:
         raise CliError(EXIT_DOMAIN, "classification supported for 2 <= m <= 5")
     out = Path(args.out)
@@ -223,7 +197,7 @@ def cmd_charmap(args) -> int:
         Lambda = bier_charmap(K, alexander_dual(K))
         ok, bad = validate_charmap(S.complex, Lambda)
         if not ok:
-            raise CliError(EXIT_VERIFY, f"validation failed on facet {sorted_vertices(bad)}")
+            raise CliError(EXIT_VERIFY, f"validation failed on facet {list(vertices_of(bad))}")
         print(f"validation PASS, s={K.m + 1}", file=sys.stderr)
     else:
         B = _load_building(args.building)
@@ -240,7 +214,7 @@ def cmd_charmap(args) -> int:
         )
         ok, bad = validate_charmap(nerve.complex, on_nerve)
         if not ok:
-            raise CliError(EXIT_VERIFY, f"validation failed on facet {sorted_vertices(bad)}")
+            raise CliError(EXIT_VERIFY, f"validation failed on facet {list(vertices_of(bad))}")
         print("validation PASS", file=sys.stderr)
     _emit(Lambda.to_json_obj())
     return EXIT_OK
@@ -248,6 +222,10 @@ def cmd_charmap(args) -> int:
 
 def cmd_nestohedron(args) -> int:
     B = _load_building(args.input)
+    if args.off and B.n_plus_1 != 4:
+        raise CliError(
+            EXIT_DOMAIN, f"OFF export needs a 3-polytope (n_plus_1 = 4), got {B.n_plus_1}"
+        )
     try:
         R = realize_nestohedron(B)
     except BuildingSetError as exc:
@@ -304,7 +282,6 @@ def cmd_betti(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
-    _threads()
     summary = verify_paper()
     if args.out:
         out = Path(args.out)

@@ -19,7 +19,13 @@ from .building import (
     realize_nestohedron,
     realize_p6,
 )
-from .classify import canonical_form, classify_bier, enumerate_complexes, isomorphic
+from .classify import (
+    bier_census,
+    canonical_form,
+    classify_bier,
+    enumerate_complexes,
+    isomorphic,
+)
 from .complexes import SimplicialComplex, mask_of, popcount, vertices_of
 from .toric import (
     CharMatrix,
@@ -172,48 +178,42 @@ def check_mf_tables() -> list[CheckRow]:
     return rows
 
 
+def _census_rows(label: str, failed, max_m: int) -> list[CheckRow]:
+    """One row per m in 2..max_m counting the (K, Bier(K)) census records
+    for which failed(K, S) holds."""
+    return [
+        _row(f"{label} at m={m}", 0, sum(1 for K, S in bier_census(m) if failed(K, S)))
+        for m in range(2, max_m + 1)
+    ]
+
+
 def check_mf_formula(max_m: int = 5) -> list[CheckRow]:
-    rows = []
-    for m in range(2, max_m + 1):
-        bad = 0
-        for K in enumerate_complexes(m):
-            S = bier_sphere(K)
-            if set(bier_mf_formula(K)) != set(S.complex.minimal_non_faces()):
-                bad += 1
-        rows.append(_row(f"MF formula mismatches at m={m}", 0, bad))
-    return rows
+    def failed(K, S):
+        return set(bier_mf_formula(K)) != set(S.minimal_non_faces())
+
+    return _census_rows("MF formula mismatches", failed, max_m)
 
 
 def check_sphere_certificates(max_m: int = 5) -> list[CheckRow]:
-    rows = []
-    for m in range(2, max_m + 1):
-        bad = 0
-        for K in enumerate_complexes(m):
-            S = bier_sphere(K).complex
-            h = S.h_vector()
-            ok = (
-                S.is_pure()
-                and S.dim == m - 2
-                and S.is_pseudomanifold()
-                and S.euler_characteristic() == 1 + (-1) ** (m - 2)
-                and h == h[::-1]
-            )
-            if not ok:
-                bad += 1
-        rows.append(_row(f"sphere certificate failures at m={m}", 0, bad))
-    return rows
+    def failed(K, S):
+        h = S.h_vector()
+        return not (
+            S.is_pure()
+            and S.dim == K.m - 2
+            and S.is_pseudomanifold()
+            and S.euler_characteristic() == 1 + (-1) ** (K.m - 2)
+            and h == h[::-1]
+        )
+
+    return _census_rows("sphere certificate failures", failed, max_m)
 
 
 def check_buchstaber(max_m: int = 5) -> list[CheckRow]:
-    rows = []
-    for m in range(2, max_m + 1):
-        bad = 0
-        for K in enumerate_complexes(m):
-            cert = buchstaber_certificate(K)
-            if cert.claimed_s != m + 1 or cert.claimed_s != cert.upper_bound:
-                bad += 1
-        rows.append(_row(f"Buchstaber certificate failures at m={m}", 0, bad))
-    return rows
+    def failed(K, S):
+        cert = buchstaber_certificate(K)
+        return cert.claimed_s != K.m + 1 or cert.claimed_s != cert.upper_bound
+
+    return _census_rows("Buchstaber certificate failures", failed, max_m)
 
 
 def check_betti() -> list[CheckRow]:
@@ -281,20 +281,19 @@ def check_orientability() -> list[CheckRow]:
 
 
 def check_duality(max_m: int = 5) -> list[CheckRow]:
-    rows = []
-    for m in range(2, max_m + 1):
-        bad = 0
-        for K in enumerate_complexes(m):
-            dual = alexander_dual(K)
-            if alexander_dual(dual) != K:
-                bad += 1
-                continue
-            if canonical_form(bier_sphere(K).complex) != canonical_form(
-                bier_sphere(dual).complex
-            ):
-                bad += 1
-        rows.append(_row(f"duality failures at m={m}", 0, bad))
-    return rows
+    """K is the dual of its dual, and Bier(K^) is Bier(K) with x_i and y_i
+    swapped: equal facet sets, which is stronger than isomorphism."""
+
+    def failed(K, S):
+        dual = alexander_dual(K)
+        if alexander_dual(dual) != K:
+            return True
+        m = K.m
+        low = (1 << m) - 1
+        swapped = frozenset((f >> m) | ((f & low) << m) for f in S.facets)
+        return bier_sphere(dual).complex.facets != swapped
+
+    return _census_rows("duality failures", failed, max_m)
 
 
 def verify_paper(max_m: int = 5) -> PaperVerificationSummary:

@@ -5,6 +5,7 @@ import pytest
 from biersphere import golden
 from biersphere.bier import bier_sphere
 from biersphere.classify import (
+    bier_census,
     canonical_form,
     canonical_labeling,
     classify_bier,
@@ -83,6 +84,13 @@ def test_enumeration_counts():
 def test_enumeration_excludes_full_simplex():
     for K in enumerate_complexes(3):
         assert not K.is_full_simplex
+
+
+def test_bier_census_pairs_each_class_with_its_sphere():
+    for m in range(2, 5):
+        census = bier_census(m)
+        assert list(census) == [(K, bier_sphere(K).complex) for K in enumerate_complexes(m)]
+        assert bier_census(m) is census
 
 
 def test_classification_m4():

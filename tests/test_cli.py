@@ -77,6 +77,14 @@ def test_invariants_golden_sphere(capsys, tmp_path):
     assert inv["f"] == [6, 12, 8]
 
 
+def test_invariants_non_pure_is_domain_error(capsys, tmp_path):
+    path = write(tmp_path / "np.json", {"m": 4, "facets": [[1, 2], [3]]})
+    code, out, err = run(capsys, "invariants", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_classify(capsys, tmp_path):
     out_dir = tmp_path / "cls"
     code, _, _ = run(capsys, "classify", "--m", "4", "--out", str(out_dir))
@@ -133,6 +141,18 @@ def test_nestohedron_outputs(capsys, b10, tmp_path):
     assert len(nerve_obj["labels"]) == 6
 
 
+def test_nestohedron_off_needs_a_3_polytope(capsys, tmp_path):
+    path = write(
+        tmp_path / "b5.json",
+        {"n_plus_1": 5, "elements": [[1], [2], [3], [4], [5], [1, 2, 3, 4, 5]]},
+    )
+    off = tmp_path / "p5.off"
+    code, out, err = run(capsys, "nestohedron", path, "--off", str(off))
+    assert code == 2
+    assert "error:" in err
+    assert not off.exists() and not (tmp_path / "p5.off.json").exists()
+
+
 def test_orientable_command(capsys, tmp_path):
     path = write(tmp_path / "m13.json", golden.appendix_matrix(13).to_json_obj())
     code, out, _ = run(capsys, "orientable", path)
@@ -156,15 +176,6 @@ def test_betti_command(capsys, tmp_path):
     code, out, _ = run(capsys, "betti", cpath, mpath)
     assert code == 0
     assert json.loads(out)["betti"] == [1, 1, 1, 1]
-
-
-def test_bier_threads_validation(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("BIER_THREADS", "0")
-    code, _, err = run(capsys, "classify", "--m", "2", "--out", str(tmp_path / "c"))
-    assert code == 2
-    monkeypatch.setenv("BIER_THREADS", "2")
-    code, _, _ = run(capsys, "classify", "--m", "2", "--out", str(tmp_path / "c"))
-    assert code == 0
 
 
 def test_verify_paper(capsys, tmp_path):
