@@ -1,7 +1,8 @@
 """Building sets and exact nestohedron geometry.
 
 Realizations intersect the level hyperplane sum(x) = |B| with the halfspaces
-sum_{i in S} x_i >= |B restricted to S| and enumerate vertices by solving
+sum_{i in S} x_i >= |B restricted to S|; the non-nestohedral type 6 keeps
+those normals with other right-hand sides.  Vertices are enumerated by solving
 every square subsystem over the rationals.  No floating point enters any
 decision; floats only order vertices cosmetically in the OFF export.
 """
@@ -207,23 +208,34 @@ def _enumerate_vertices(
     return tuple(points), tuple(incidence)
 
 
-def realize_nestohedron(B: BuildingSet) -> NestohedronRealization:
-    """Postnikov H-representation, enumerated exactly."""
-    if not B.is_connected:
-        raise BuildingSetError("realization requires a connected building set")
+def element_label(S) -> str:
+    """Label of a building-set element, e.g. "{1,2,4}"."""
+    return "{" + ",".join(map(str, sorted(S))) + "}"
+
+
+def _realize(B: BuildingSet, z, level: int) -> NestohedronRealization:
+    """The polytope sum(x) = level, sum_{i in S} x_i >= z(S) for each proper
+    element S of B (Postnikov's H-representation), enumerated exactly."""
     ambient = B.n_plus_1
-    level = Fraction(len(B.elements))
     halfspaces = tuple(
         Halfspace(
-            label="{" + ",".join(map(str, sorted(S))) + "}",
+            label=element_label(S),
             coeffs=tuple(1 if i in S else 0 for i in range(1, ambient + 1)),
-            rhs=Fraction(B.restriction_size(S)),
+            rhs=Fraction(z(S)),
             element=S,
         )
         for S in B.proper_elements()
     )
+    level = Fraction(level)
     vertices, incidence = _enumerate_vertices(ambient, level, halfspaces)
     return NestohedronRealization(ambient, level, halfspaces, vertices, incidence)
+
+
+def realize_nestohedron(B: BuildingSet) -> NestohedronRealization:
+    """The nestohedron: z(S) = |B restricted to S| at level |B|."""
+    if not B.is_connected:
+        raise BuildingSetError("realization requires a connected building set")
+    return _realize(B, B.restriction_size, len(B.elements))
 
 
 @dataclass(frozen=True)
@@ -279,8 +291,7 @@ def nerve_by_truncation(B: BuildingSet) -> NerveComplex:
         K = K.stellar_subdivision(face)
         labels.append(S)
         current.add(S)
-    label_strs = tuple("{" + ",".join(map(str, sorted(s))) + "}" for s in labels)
-    return NerveComplex(K, label_strs)
+    return NerveComplex(K, tuple(element_label(s) for s in labels))
 
 
 def delzant_check(R: NestohedronRealization, Lambda) -> bool:
@@ -301,88 +312,33 @@ def delzant_check(R: NestohedronRealization, Lambda) -> bool:
     return True
 
 
-def _cut_one_vertex(R: NestohedronRealization, coeffs: tuple[int, ...]):
-    """Add the halfspace coeffs . x <= c chosen so it strictly separates
-    exactly the vertex minimizing coeffs; None when every offset ties."""
-    phi = lambda pt: sum(Fraction(c) * x for c, x in zip(coeffs, pt))
-    vals = [phi(v) for v in R.vertices]
-    low = min(vals)
-    eps = Fraction(1)
-    for _ in range(8):
-        cutoff = low + eps
-        if sum(1 for x in vals if x < cutoff) == 1 and all(x != cutoff for x in vals):
-            cut = Halfspace("cut", coeffs, cutoff)
-            halfspaces = R.halfspaces + (cut,)
-            vertices, incidence = _enumerate_vertices(R.ambient, R.level, halfspaces)
-            return NestohedronRealization(
-                R.ambient, R.level, halfspaces, vertices, incidence
-            )
-        eps /= 2
-    return None
-
-
 def realize_p6():
-    """The one non-nestohedral type: truncate a vertex of the type-7 polytope.
+    """The one non-nestohedral type, as a generalized permutohedron.
 
-    First tries a cutting plane parallel to the unique triangular facet,
-    halving the offset until exactly one vertex is separated.  On the
-    canonical realization that ladder always ties (the quadrilateral facet
-    opposite the triangle shares its normal direction, so four vertices sit
-    at equal distance); the fallback truncates candidate vertices with the
-    standard cut along the sum of their tight facet normals, in coordinate
-    order, keeping the first result of the right combinatorial type.
-    Returns the polytope together with its published characteristic matrix,
-    columns assigned to facets via an isomorphism of the nerve onto the
-    golden type-6 sphere.
+    Same facet normals as the type-1 nestohedron, other right-hand sides:
+    x_i >= 0 for i = 1, 2, 3, x_4 >= -2 and sum_{i in T} x_i >= 1 for the
+    four triples T, at level 3.  This is the cube [0,2]^3 in (x_1, x_2, x_3) with the two
+    opposite corners where x_1 + x_2 + x_3 is 0 or 6 cut off.  Returns the
+    polytope with its Delzant matrix fenn_charmap(B_1), whose column set is
+    the published type-6 matrix; both certificates are asserted.
     """
     from . import golden
-    from .classify import canonical_form, isomorphic
-    from .toric import CharMatrix
+    from .classify import canonical_form
+    from .toric import fenn_charmap
 
-    R7 = realize_nestohedron(golden.golden_building_set(7))
-    facet_sets = R7.facet_vertex_sets()
-    triangles = [i for i, vs in enumerate(facet_sets) if len(vs) == 3]
-    if len(triangles) != 1:
-        raise AssertionError("type-7 polytope should have a unique triangular facet")
-    tri = triangles[0]
+    B1 = golden.golden_building_set(1)
+
+    def z(S):
+        if len(S) == 3:
+            return 1
+        return -2 if S == {4} else 0
+
+    R6 = _realize(B1, z, 3)
     S6 = golden.golden_sphere(6)
-    target = canonical_form(S6)
-
-    candidates = []
-    away = tuple(-c for c in R7.halfspaces[tri].coeffs)
-    R6 = _cut_one_vertex(R7, away)
-    if R6 is not None:
-        candidates.append(R6)
-    for vi in range(len(R7.vertices)):
-        if tri in R7.incidence[vi]:
-            continue
-        coeffs = tuple(
-            sum(R7.halfspaces[h].coeffs[k] for h in R7.incidence[vi])
-            for k in range(R7.ambient)
-        )
-        cut = _cut_one_vertex(R7, coeffs)
-        if cut is not None:
-            candidates.append(cut)
-
-    nerve = witness = R6 = None
-    for cand in candidates:
-        nv = nerve_of_realization(cand)
-        if canonical_form(nv.complex.with_ground(S6.m)) == target:
-            w = isomorphic(nv.complex.with_ground(S6.m), S6)
-            if w is not None:
-                R6, nerve, witness = cand, nv, w
-                break
-    if R6 is None:
-        raise AssertionError("no vertex truncation of the type-7 polytope matched")
-    appendix = golden.appendix_matrix(6)
-    order = [
-        golden.P6_COLUMN_OF_VERTEX[witness[p] - 1]
-        for p in range(1, nerve.complex.m + 1)
-    ]
-    entries = tuple(
-        tuple(appendix.entries[r][c] for c in order) for r in range(appendix.rows)
-    )
-    Lambda = CharMatrix(entries=entries, labels=nerve.labels)
+    nerve = nerve_of_realization(R6)
+    if canonical_form(nerve.complex.with_ground(S6.m)) != canonical_form(S6):
+        raise AssertionError("type-6 realization does not have the type-6 nerve")
+    Lambda = fenn_charmap(B1)
     if not delzant_check(R6, Lambda):
         raise AssertionError("type-6 realization failed its Delzant certificate")
     return R6, Lambda

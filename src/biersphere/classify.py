@@ -27,6 +27,7 @@ class CanonicalForm:
 
 def _refine(facet_sets: list[tuple[int, ...]], colors: dict[int, tuple]) -> dict[int, tuple]:
     """Iterate vertex colouring by the multiset of coloured facet views."""
+    part = _partition(colors)
     while True:
         new = {}
         for v in colors:
@@ -37,11 +38,12 @@ def _refine(facet_sets: list[tuple[int, ...]], colors: dict[int, tuple]) -> dict
             )
             new[v] = (colors[v], tuple(views))
         # stabilise on the induced partition, then compress colour values
-        old_part = _partition(colors)
+        # (compression keeps the partition: it ranks colours in order)
         new_part = _partition(new)
         colors = _compress(new)
-        if new_part == old_part:
+        if new_part == part:
             return colors
+        part = new_part
 
 
 def _partition(colors: dict[int, tuple]) -> tuple[tuple[int, ...], ...]:
@@ -89,10 +91,12 @@ def _canonical_search(K: SimplicialComplex):
     return best[0], best[1]
 
 
+def _form(K: SimplicialComplex, enc) -> CanonicalForm:
+    return CanonicalForm(K.m - popcount(K.vertex_mask()), K.m, enc)
+
+
 def canonical_form(K: SimplicialComplex) -> CanonicalForm:
-    enc, _ = _canonical_search(K)
-    ghosts = K.m - popcount(K.vertex_mask())
-    return CanonicalForm(ghosts, K.m, enc)
+    return _form(K, _canonical_search(K)[0])
 
 
 def canonical_labeling(K: SimplicialComplex) -> dict[int, int]:
@@ -107,10 +111,10 @@ def isomorphic(K1: SimplicialComplex, K2: SimplicialComplex) -> dict[int, int] |
     The witness maps non-ghost vertices of K1 to those of K2 and is
     re-verified facet by facet before being returned.
     """
-    if canonical_form(K1) != canonical_form(K2):
+    enc1, lab1 = _canonical_search(K1)
+    enc2, lab2 = _canonical_search(K2)
+    if _form(K1, enc1) != _form(K2, enc2):
         return None
-    lab1 = canonical_labeling(K1)
-    lab2 = canonical_labeling(K2)
     inv2 = {new: old for old, new in lab2.items()}
     witness = {v: inv2[lab1[v]] for v in lab1}
     image = {frozenset(witness[u] for u in vertices_of(f)) for f in K1.facets}

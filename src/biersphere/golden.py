@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .bier import alexander_dual
+from .building import BuildingSet, element_label
 from .complexes import SimplicialComplex, _antichain, mask_of
 from .classify import CanonicalForm, canonical_form
 
@@ -136,14 +138,15 @@ def _parse_xy(token: str) -> int:
 
 @lru_cache(maxsize=None)
 def golden_sphere(i: int) -> SimplicialComplex:
-    """Sphere type i as a complex on 8 positions, rebuilt from its MF table."""
-    mf = [_parse_xy(tok) for tok in MF_TABLES[i].split()]
+    """Sphere type i as a complex on 8 positions, rebuilt from its MF table:
+    the Alexander dual of the complex whose facets are the complements of
+    the minimal non-faces."""
     m = 2 * SOURCE_M
-    facets = []
-    for s in range(1 << m):
-        if all(bad & ~s for bad in mf):
-            facets.append(s)
-    return SimplicialComplex(m, _antichain(facets))
+    full = (1 << m) - 1
+    dual = SimplicialComplex(
+        m, frozenset(full & ~_parse_xy(tok) for tok in MF_TABLES[i].split())
+    )
+    return alexander_dual(dual)
 
 
 @lru_cache(maxsize=None)
@@ -164,8 +167,6 @@ def sphere_index_by_canonical_form() -> dict[CanonicalForm, int]:
 
 def golden_building_set(i: int):
     """The published building set realizing sphere type i (i != 6)."""
-    from .building import BuildingSet
-
     if i not in BUILDING_SET_COLUMNS:
         raise KeyError(f"no building set for type {i}")
     elements = {frozenset(s) for s in BUILDING_SET_COLUMNS[i]}
@@ -184,5 +185,5 @@ def appendix_matrix(i: int):
             names[P6_COLUMN_OF_VERTEX.index(c)] for c in range(len(rows[0]))
         )
     else:
-        labels = tuple("{" + ",".join(map(str, s)) + "}" for s in BUILDING_SET_COLUMNS[i])
+        labels = tuple(map(element_label, BUILDING_SET_COLUMNS[i]))
     return CharMatrix(entries=rows, labels=labels)

@@ -11,6 +11,7 @@ from itertools import product
 
 from .complexes import SimplicialComplex, popcount, vertices_of
 from .bier import BierSphere, alexander_dual, bier_sphere
+from .building import BuildingSetError, element_label
 
 
 @dataclass(frozen=True)
@@ -152,8 +153,6 @@ def fenn_charmap(B) -> CharMatrix:
     """Canonical Delzant matrix of a nestohedron, one column per proper
     element: v_i = 1 if i in S without n+1, -1 if n+1 in S without i, else 0.
     """
-    from .building import BuildingSetError
-
     if not B.is_connected:
         raise BuildingSetError("Fenn matrix requires a connected building set")
     n1 = B.n_plus_1
@@ -170,8 +169,7 @@ def fenn_charmap(B) -> CharMatrix:
             else:
                 row.append(0)
         entries.append(tuple(row))
-    labels = tuple("{" + ",".join(map(str, sorted(S))) + "}" for S in proper)
-    return CharMatrix(entries=tuple(entries), labels=labels)
+    return CharMatrix(entries=tuple(entries), labels=tuple(map(element_label, proper)))
 
 
 @dataclass(frozen=True)

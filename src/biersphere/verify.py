@@ -9,10 +9,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import golden
 from .bier import alexander_dual, bier_mf_formula, bier_sphere, render_mf
 from .building import (
+    NestohedronRealization,
     delzant_check,
     nerve_by_truncation,
     nerve_of_realization,
@@ -93,13 +95,23 @@ def compress_ghosts(K: SimplicialComplex) -> tuple[SimplicialComplex, list[int]]
     return SimplicialComplex(len(positions), facets), positions
 
 
+@lru_cache(maxsize=None)
+def golden_polytope(i: int) -> tuple[NestohedronRealization, CharMatrix]:
+    """The realized polytope of sphere type i with its Delzant matrix,
+    computed once per type: the nestohedron of the published building set
+    with its canonical matrix, or for type 6 the generalized permutohedron."""
+    if i == 6:
+        return realize_p6()
+    B = golden.golden_building_set(i)
+    return realize_nestohedron(B), fenn_charmap(B)
+
+
 def sphere_charmap(i: int) -> tuple[SimplicialComplex, CharMatrix]:
     """The golden sphere of type i with no ghosts, paired with a valid
     matrix whose columns follow its vertex order.
 
-    For the nestohedral types the columns come from the canonical matrix of
-    the realized polytope, carried over by a nerve isomorphism; type 6 uses
-    the shipped column correspondence.
+    The columns come from the Delzant matrix of the realized polytope,
+    carried over by an isomorphism of its nerve onto the sphere.
     """
     S = golden.golden_sphere(i)
     compact, positions = compress_ghosts(S)
@@ -107,23 +119,12 @@ def sphere_charmap(i: int) -> tuple[SimplicialComplex, CharMatrix]:
         f"x{p}" if p <= golden.SOURCE_M else f"y{p - golden.SOURCE_M}"
         for p in positions
     )
-    if i == 6:
-        rows = golden.CHAR_MATRICES[6]
-        entries = tuple(
-            tuple(rows[r][golden.P6_COLUMN_OF_VERTEX[p - 1]] for p in positions)
-            for r in range(3)
-        )
-        return compact, CharMatrix(entries=entries, labels=names)
-    B = golden.golden_building_set(i)
-    nerve = nerve_of_realization(realize_nestohedron(B))
+    R, F = golden_polytope(i)
+    nerve = nerve_of_realization(R)
     witness = isomorphic(nerve.complex.with_ground(S.m), S)
     if witness is None:
         raise AssertionError(f"nerve of type {i} does not match its sphere")
-    sphere_of_nerve = dict(witness)
-    label_of_sphere = {
-        q: nerve.labels[p - 1] for p, q in sphere_of_nerve.items()
-    }
-    F = fenn_charmap(B)
+    label_of_sphere = {q: nerve.labels[p - 1] for p, q in witness.items()}
     cols = [F.column_by_label(label_of_sphere[p]) for p in positions]
     entries = tuple(tuple(c[r] for c in cols) for r in range(3))
     return compact, CharMatrix(entries=entries, labels=names)
@@ -228,13 +229,13 @@ def check_betti() -> list[CheckRow]:
 def check_appendix_matrices() -> list[CheckRow]:
     rows = []
     for i in golden.NESTOHEDRAL_INDICES:
-        F = fenn_charmap(golden.golden_building_set(i))
+        _, F = golden_polytope(i)
         A = golden.appendix_matrix(i)
         ok = sorted(F.labels) == sorted(A.labels) and all(
             F.column_by_label(lab) == A.column_by_label(lab) for lab in A.labels
         )
         rows.append(_row(f"canonical matrix type {i}", True, ok))
-    R6, L6 = realize_p6()
+    R6, L6 = golden_polytope(6)
     A6 = golden.appendix_matrix(6)
     same_columns = sorted(L6.column(j) for j in range(L6.cols)) == sorted(
         A6.column(j) for j in range(A6.cols)
@@ -256,16 +257,15 @@ def check_appendix_matrices() -> list[CheckRow]:
 def check_nestohedra() -> list[CheckRow]:
     rows = []
     for i in golden.NESTOHEDRAL_INDICES:
-        B = golden.golden_building_set(i)
-        R = realize_nestohedron(B)
+        R, F = golden_polytope(i)
         nerve = nerve_of_realization(R)
-        trunc = nerve_by_truncation(B)
+        trunc = nerve_by_truncation(golden.golden_building_set(i))
         S = golden.golden_sphere(i)
         target = canonical_form(S)
         ok = (
             canonical_form(nerve.complex.with_ground(S.m)) == target
             and canonical_form(trunc.complex.with_ground(S.m)) == target
-            and delzant_check(R, fenn_charmap(B))
+            and delzant_check(R, F)
         )
         rows.append(_row(f"nestohedron type {i}", True, ok))
     return rows

@@ -7,7 +7,6 @@ from biersphere.building import (
     BuildingSet,
     BuildingSetError,
     NestohedronRealization,
-    _cut_one_vertex,
     delzant_check,
     nerve_by_truncation,
     nerve_of_realization,
@@ -168,12 +167,7 @@ def test_realize_p6():
     assert delzant_check(R6, L6)
     A6 = golden.appendix_matrix(6)
     assert sorted(L6.column(j) for j in range(8)) == sorted(A6.column(j) for j in range(8))
-
-
-def test_cut_one_vertex_returns_none_on_tie():
-    R = realize_nestohedron(golden.golden_building_set(10))
-    # the cube; any coordinate functional ties on a whole square facet
-    assert _cut_one_vertex(R, (1, 0, 0, 0)) is None
+    assert L6 == fenn_charmap(golden.golden_building_set(1))
 
 
 def test_off_roundtrip():

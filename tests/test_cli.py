@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -24,6 +25,12 @@ def full4(tmp_path):
 @pytest.fixture
 def b10(tmp_path):
     return write(tmp_path / "b10.json", golden.golden_building_set(10).to_json_obj())
+
+
+def sha256(path):
+    """Hex digest of a written file; the pinned values are the outputs of
+    the published census and verification, byte for byte."""
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def run(capsys, *argv):
@@ -97,6 +104,12 @@ def test_classify(capsys, tmp_path):
     assert (out_dir / "report.md").exists()
     for c in classes["classes"]:
         assert (out_dir / c["complex_file"]).exists()
+    assert sha256(out_dir / "classes.json") == (
+        "80b912fa2b2ab480aef3a0fc91f40e6c0cbd6de0fb3a252e3f09e6aea68d8fcc"
+    )
+    assert sha256(out_dir / "report.md") == (
+        "3203c098a8e22e09d4a348a5d5953002c3c578dd7429927a2c009a3b53d179de"
+    )
 
 
 def test_classify_out_of_range(capsys, tmp_path):
@@ -186,3 +199,9 @@ def test_verify_paper(capsys, tmp_path):
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["passed"] is True
     assert (out_dir / "summary.md").exists()
+    assert sha256(out_dir / "summary.json") == (
+        "1e516f4439bf2a385673689c0913c104fd2b698cbea72b74d862a9b71fb773dc"
+    )
+    assert sha256(out_dir / "summary.md") == (
+        "062cdb310f8d960eb6d6dc32c28ae75571ea5c3f820cba304e8c4ec758fff05d"
+    )
