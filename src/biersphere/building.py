@@ -3,8 +3,10 @@
 Realizations intersect the level hyperplane sum(x) = |B| with the halfspaces
 sum_{i in S} x_i >= |B restricted to S|; the non-nestohedral type 6 keeps
 those normals with other right-hand sides.  Vertices are enumerated by solving
-every square subsystem over the rationals.  No floating point enters any
-decision; floats only order vertices cosmetically in the OFF export.
+every square subsystem by Cramer's rule on the integer determinant det_int,
+the same kernel that certifies characteristic matrices.  No floating point
+enters any decision; floats only order vertices cosmetically in the OFF
+export.
 """
 
 from __future__ import annotations
@@ -83,22 +85,26 @@ def validate_building_set(elements, n_plus_1: int) -> BuildingSet:
 
 # -- exact linear algebra -------------------------------------------------
 
-def solve_square(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Solve A x = b over the rationals; None when A is singular."""
-    n = len(rows)
-    a = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
+def det_int(rows: list[list[int]]) -> int:
+    """Exact determinant by Bareiss fraction-free elimination."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 @dataclass(frozen=True)
@@ -174,24 +180,32 @@ def _enumerate_vertices(
     """Brute-force vertex enumeration inside the level hyperplane.
 
     Solves each (ambient x ambient) system of dim tight halfspaces plus the
-    hyperplane, keeps feasible solutions, dedupes, and recomputes incidence
-    from scratch so simplicity can be asserted independently.
+    hyperplane by Cramer's rule on integer determinants, tests feasibility
+    as integer inequalities c . N >= rhs * D before any fraction is built,
+    dedupes, and recomputes incidence from scratch so simplicity can be
+    asserted independently.
     """
+    if level.denominator != 1 or any(h.rhs.denominator != 1 for h in halfspaces):
+        raise AssertionError("the H-representation must be integral")
     dim = ambient - 1
     points: list[tuple[Fraction, ...]] = []
     for tight in combinations(range(len(halfspaces)), dim):
-        rows = [[Fraction(c) for c in halfspaces[i].coeffs] for i in tight]
-        rhs = [halfspaces[i].rhs for i in tight]
-        rows.append([Fraction(1)] * ambient)
-        rhs.append(level)
-        sol = solve_square(rows, rhs)
-        if sol is None:
+        rows = [list(halfspaces[i].coeffs) for i in tight] + [[1] * ambient]
+        rhs = [halfspaces[i].rhs.numerator for i in tight] + [level.numerator]
+        D = det_int(rows)
+        if D == 0:
             continue
+        N = [
+            det_int([r[:j] + [b] + r[j + 1:] for r, b in zip(rows, rhs)])
+            for j in range(ambient)
+        ]
+        if D < 0:
+            D, N = -D, [-x for x in N]
         if all(
-            sum(Fraction(c) * x for c, x in zip(h.coeffs, sol)) >= h.rhs
+            sum(c * x for c, x in zip(h.coeffs, N)) >= h.rhs.numerator * D
             for h in halfspaces
         ):
-            pt = tuple(sol)
+            pt = tuple(Fraction(x, D) for x in N)
             if pt not in points:
                 points.append(pt)
     points.sort()
@@ -296,8 +310,6 @@ def nerve_by_truncation(B: BuildingSet) -> NerveComplex:
 
 def delzant_check(R: NestohedronRealization, Lambda) -> bool:
     """Every vertex's tight-facet columns must form a lattice basis."""
-    from .toric import det_int
-
     labels = [h.label for h in R.halfspaces]
     try:
         col_of = {lab: Lambda.labels.index(lab) for lab in labels}

@@ -16,6 +16,7 @@ from .bier import bier_sphere, render_mf
 from .complexes import SimplicialComplex, mask_of, popcount, vertices_of
 
 MAX_CANON_VERTICES = 10
+MAX_CENSUS_M = 5  # largest ground set of the census, classification and checks
 
 
 @dataclass(frozen=True, order=True)
@@ -26,8 +27,12 @@ class CanonicalForm:
 
 
 def _refine(facet_sets: list[tuple[int, ...]], colors: dict[int, tuple]) -> dict[int, tuple]:
-    """Iterate vertex colouring by the multiset of coloured facet views."""
-    part = _partition(colors)
+    """Iterate vertex colouring by the multiset of coloured facet views.
+
+    Each new colour extends the old one, so the partition only refines: it
+    is stable once the number of colour classes stops growing.
+    """
+    count = len(set(colors.values()))
     while True:
         new = {}
         for v in colors:
@@ -37,13 +42,12 @@ def _refine(facet_sets: list[tuple[int, ...]], colors: dict[int, tuple]) -> dict
                 if v in f
             )
             new[v] = (colors[v], tuple(views))
-        # stabilise on the induced partition, then compress colour values
-        # (compression keeps the partition: it ranks colours in order)
-        new_part = _partition(new)
+        # compression keeps the partition: it ranks colours in order
         colors = _compress(new)
-        if new_part == part:
+        new_count = len(set(colors.values()))
+        if new_count == count:
             return colors
-        part = new_part
+        count = new_count
 
 
 def _partition(colors: dict[int, tuple]) -> tuple[tuple[int, ...], ...]:
@@ -135,8 +139,8 @@ def enumerate_complexes(m: int) -> list[SimplicialComplex]:
 
 @lru_cache(maxsize=None)
 def _enumerate_cached(m: int) -> tuple[SimplicialComplex, ...]:
-    if not 1 <= m <= 5:
-        raise ValueError("enumeration supported for 1 <= m <= 5")
+    if not 1 <= m <= MAX_CENSUS_M:
+        raise ValueError(f"enumeration supported for 1 <= m <= {MAX_CENSUS_M}")
     full = (1 << m) - 1
     subsets = list(range(1, 1 << m))
     antichains: list[tuple[int, ...]] = [()]
@@ -204,8 +208,8 @@ def classify_bier(m: int) -> ClassificationReport:
     """
     from . import golden
 
-    if not 2 <= m <= 5:
-        raise ValueError("classification supported for 2 <= m <= 5")
+    if not 2 <= m <= MAX_CENSUS_M:
+        raise ValueError(f"classification supported for 2 <= m <= {MAX_CENSUS_M}")
     census = bier_census(m)
     groups: dict[CanonicalForm, dict] = {}
     for idx, (_, sphere) in enumerate(census):

@@ -20,7 +20,7 @@ from .building import (
     realize_nestohedron,
     write_off,
 )
-from .classify import classify_bier
+from .classify import MAX_CENSUS_M, classify_bier
 from .complexes import SimplicialComplex, vertices_of
 from .toric import (
     CharMatrix,
@@ -58,6 +58,14 @@ def _load_complex(path: str) -> SimplicialComplex:
         return SimplicialComplex.from_json_obj(obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(EXIT_PARSE, f"bad complex JSON in {path}: {exc}")
+
+
+def _load_matrix(path: str) -> CharMatrix:
+    obj = _load_json(path)
+    try:
+        return CharMatrix.from_json_obj(obj)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CliError(EXIT_PARSE, f"bad matrix JSON in {path}: {exc}")
 
 
 def _load_building(path: str) -> BuildingSet:
@@ -126,8 +134,8 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    if not 2 <= args.m <= 5:
-        raise CliError(EXIT_DOMAIN, "classification supported for 2 <= m <= 5")
+    if not 2 <= args.m <= MAX_CENSUS_M:
+        raise CliError(EXIT_DOMAIN, f"classification supported for 2 <= m <= {MAX_CENSUS_M}")
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -194,7 +202,7 @@ def cmd_charmap(args) -> int:
             S = bier_sphere(K)
         except (FullSimplexError, ValueError) as exc:
             raise CliError(EXIT_DOMAIN, str(exc))
-        Lambda = bier_charmap(K, alexander_dual(K))
+        Lambda = bier_charmap(K.m)
         ok, bad = validate_charmap(S.complex, Lambda)
         if not ok:
             raise CliError(EXIT_VERIFY, f"validation failed on facet {list(vertices_of(bad))}")
@@ -248,11 +256,7 @@ def cmd_nestohedron(args) -> int:
 
 
 def cmd_orientable(args) -> int:
-    obj = _load_json(args.input)
-    try:
-        Lambda = CharMatrix.from_json_obj(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(EXIT_PARSE, f"bad matrix JSON in {args.input}: {exc}")
+    Lambda = _load_matrix(args.input)
     try:
         witness = small_cover_orientable(Lambda)
     except ValueError as exc:
@@ -268,11 +272,7 @@ def cmd_orientable(args) -> int:
 
 def cmd_betti(args) -> int:
     K = _load_complex(args.complex)
-    obj = _load_json(args.matrix)
-    try:
-        Lambda = CharMatrix.from_json_obj(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(EXIT_PARSE, f"bad matrix JSON in {args.matrix}: {exc}")
+    Lambda = _load_matrix(args.matrix)
     try:
         pres = cohomology_presentation(K, Lambda)
     except ValueError as exc:

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from .complexes import SimplicialComplex, popcount, vertices_of
-from .bier import BierSphere, alexander_dual, bier_sphere
-from .building import BuildingSetError, element_label
+from .bier import BierSphere, bier_sphere, side_label
+from .building import BuildingSetError, det_int, element_label
 
 
 @dataclass(frozen=True)
@@ -59,34 +59,11 @@ class CharMatrix:
         return mat
 
 
-def det_int(rows: list[list[int]]) -> int:
-    """Exact determinant by Bareiss fraction-free elimination."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def bier_charmap(K1: SimplicialComplex, K2: SimplicialComplex) -> CharMatrix:
-    """(m-1) x 2m labelling: i and i' to e_i for i < m, both m-columns to
-    the all-ones vector."""
-    m = K1.m
-    if K2.m != m or m < 2:
-        raise ValueError("both complexes must share a ground set of size >= 2")
+def bier_charmap(m: int) -> CharMatrix:
+    """(m-1) x 2m labelling of Bier spheres on [m]: i and i' to e_i for
+    i < m, both m-columns to the all-ones vector."""
+    if m < 2:
+        raise ValueError("the ground set must have size >= 2")
     n = m - 1
     ones = tuple(1 for _ in range(n))
     cols = []
@@ -95,9 +72,7 @@ def bier_charmap(K1: SimplicialComplex, K2: SimplicialComplex) -> CharMatrix:
             cols.append(tuple(1 if r == i else 0 for r in range(n)))
         cols.append(ones)
     entries = tuple(tuple(col[r] for col in cols) for r in range(n))
-    labels = tuple(f"x{i}" for i in range(1, m + 1)) + tuple(
-        f"y{i}" for i in range(1, m + 1)
-    )
+    labels = tuple(side_label(p, m) for p in range(1, 2 * m + 1))
     return CharMatrix(entries=entries, labels=labels)
 
 
@@ -141,7 +116,7 @@ class BuchstaberCertificate:
 def buchstaber_certificate(K: SimplicialComplex) -> BuchstaberCertificate:
     """Certify s = s_R = m+1 for Bier(K) by an explicit valid labelling."""
     S = bier_sphere(K)
-    Lambda = bier_charmap(K, alexander_dual(K))
+    Lambda = bier_charmap(K.m)
     ok, bad = validate_charmap(S.complex, Lambda)
     if not ok:
         raise AssertionError(f"labelling failed on facet {bad:#x}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import golden
-from .bier import alexander_dual, bier_mf_formula, bier_sphere, render_mf
+from .bier import alexander_dual, bier_mf_formula, bier_sphere, render_mf, side_label
 from .building import (
     NestohedronRealization,
     delzant_check,
@@ -22,6 +22,7 @@ from .building import (
     realize_p6,
 )
 from .classify import (
+    MAX_CENSUS_M,
     bier_census,
     canonical_form,
     classify_bier,
@@ -31,7 +32,7 @@ from .classify import (
 from .complexes import SimplicialComplex, mask_of, popcount, vertices_of
 from .toric import (
     CharMatrix,
-    buchstaber_certificate,
+    bier_charmap,
     cohomology_presentation,
     fenn_charmap,
     small_cover_orientable,
@@ -115,10 +116,7 @@ def sphere_charmap(i: int) -> tuple[SimplicialComplex, CharMatrix]:
     """
     S = golden.golden_sphere(i)
     compact, positions = compress_ghosts(S)
-    names = tuple(
-        f"x{p}" if p <= golden.SOURCE_M else f"y{p - golden.SOURCE_M}"
-        for p in positions
-    )
+    names = tuple(side_label(p, golden.SOURCE_M) for p in positions)
     R, F = golden_polytope(i)
     nerve = nerve_of_realization(R)
     witness = isomorphic(nerve.complex.with_ground(S.m), S)
@@ -179,23 +177,23 @@ def check_mf_tables() -> list[CheckRow]:
     return rows
 
 
-def _census_rows(label: str, failed, max_m: int) -> list[CheckRow]:
-    """One row per m in 2..max_m counting the (K, Bier(K)) census records
-    for which failed(K, S) holds."""
+def _census_rows(label: str, failed) -> list[CheckRow]:
+    """One row per m in 2..MAX_CENSUS_M counting the (K, Bier(K)) census
+    records for which failed(K, S) holds."""
     return [
         _row(f"{label} at m={m}", 0, sum(1 for K, S in bier_census(m) if failed(K, S)))
-        for m in range(2, max_m + 1)
+        for m in range(2, MAX_CENSUS_M + 1)
     ]
 
 
-def check_mf_formula(max_m: int = 5) -> list[CheckRow]:
+def check_mf_formula() -> list[CheckRow]:
     def failed(K, S):
         return set(bier_mf_formula(K)) != set(S.minimal_non_faces())
 
-    return _census_rows("MF formula mismatches", failed, max_m)
+    return _census_rows("MF formula mismatches", failed)
 
 
-def check_sphere_certificates(max_m: int = 5) -> list[CheckRow]:
+def check_sphere_certificates() -> list[CheckRow]:
     def failed(K, S):
         h = S.h_vector()
         return not (
@@ -206,15 +204,17 @@ def check_sphere_certificates(max_m: int = 5) -> list[CheckRow]:
             and h == h[::-1]
         )
 
-    return _census_rows("sphere certificate failures", failed, max_m)
+    return _census_rows("sphere certificate failures", failed)
 
 
-def check_buchstaber(max_m: int = 5) -> list[CheckRow]:
+def check_buchstaber() -> list[CheckRow]:
+    """The doubled-ground labelling is a characteristic matrix of every
+    Bier sphere, which certifies s = s_R = m + 1."""
+
     def failed(K, S):
-        cert = buchstaber_certificate(K)
-        return cert.claimed_s != K.m + 1 or cert.claimed_s != cert.upper_bound
+        return not validate_charmap(S, bier_charmap(K.m))[0]
 
-    return _census_rows("Buchstaber certificate failures", failed, max_m)
+    return _census_rows("Buchstaber certificate failures", failed)
 
 
 def check_betti() -> list[CheckRow]:
@@ -280,7 +280,7 @@ def check_orientability() -> list[CheckRow]:
     return [_row("orientable small covers", sorted(golden.ORIENTABLE_INDICES), found)]
 
 
-def check_duality(max_m: int = 5) -> list[CheckRow]:
+def check_duality() -> list[CheckRow]:
     """K is the dual of its dual, and Bier(K^) is Bier(K) with x_i and y_i
     swapped: equal facet sets, which is stronger than isomorphism."""
 
@@ -293,21 +293,21 @@ def check_duality(max_m: int = 5) -> list[CheckRow]:
         swapped = frozenset((f >> m) | ((f & low) << m) for f in S.facets)
         return bier_sphere(dual).complex.facets != swapped
 
-    return _census_rows("duality failures", failed, max_m)
+    return _census_rows("duality failures", failed)
 
 
-def verify_paper(max_m: int = 5) -> PaperVerificationSummary:
+def verify_paper() -> PaperVerificationSummary:
     rows: list[CheckRow] = []
     rows += check_enumeration()
     rows += check_classification()
     rows += check_f_census()
     rows += check_mf_tables()
-    rows += check_mf_formula(max_m)
-    rows += check_sphere_certificates(max_m)
-    rows += check_buchstaber(max_m)
+    rows += check_mf_formula()
+    rows += check_sphere_certificates()
+    rows += check_buchstaber()
     rows += check_betti()
     rows += check_appendix_matrices()
     rows += check_nestohedra()
     rows += check_orientability()
-    rows += check_duality(max_m)
+    rows += check_duality()
     return PaperVerificationSummary(rows=tuple(rows))

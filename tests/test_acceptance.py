@@ -33,15 +33,15 @@ def test_criterion_4_mf_golden_tables():
 
 
 def test_criterion_5_mf_formula_oracle():
-    report(5, "MF formula exhaustive to m=5", verify.check_mf_formula(5))
+    report(5, "MF formula exhaustive to m=5", verify.check_mf_formula())
 
 
 def test_criterion_6_sphere_certificates():
-    report(6, "sphere certificates to m=5", verify.check_sphere_certificates(5))
+    report(6, "sphere certificates to m=5", verify.check_sphere_certificates())
 
 
 def test_criterion_7_buchstaber_certificates():
-    report(7, "Buchstaber certificates to m=5", verify.check_buchstaber(5))
+    report(7, "Buchstaber certificates to m=5", verify.check_buchstaber())
 
 
 def test_criterion_8_betti_golden():
@@ -61,4 +61,4 @@ def test_criterion_11_orientability():
 
 
 def test_criterion_12_duality():
-    report(12, "duality properties to m=5", verify.check_duality(5))
+    report(12, "duality properties to m=5", verify.check_duality())

@@ -1,4 +1,7 @@
+import hashlib
+import json
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -7,18 +10,39 @@ from biersphere.building import (
     BuildingSet,
     BuildingSetError,
     NestohedronRealization,
+    _enumerate_vertices,
     delzant_check,
     nerve_by_truncation,
     nerve_of_realization,
     read_off,
     realize_nestohedron,
     realize_p6,
-    solve_square,
     validate_building_set,
     write_off,
 )
-from biersphere.classify import canonical_form
+from biersphere.classify import MAX_CANON_VERTICES, canonical_form
+from biersphere.complexes import vertices_of
 from biersphere.toric import fenn_charmap
+from biersphere.verify import golden_polytope
+
+
+def permutohedron_set(n1):
+    """All nonempty subsets of [n1]."""
+    ground = range(1, n1 + 1)
+    return validate_building_set(
+        [c for k in range(1, n1 + 1) for c in combinations(ground, k)], n1
+    )
+
+
+def associahedron_set(n1):
+    """All intervals of [n1]."""
+    return validate_building_set(
+        [range(a, b + 1) for a in range(1, n1 + 1) for b in range(a, n1 + 1)], n1
+    )
+
+
+def json_sha256(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
 def test_validate_accepts_good_set():
@@ -46,13 +70,6 @@ def test_proper_element_order():
     B = golden.golden_building_set(7)
     names = [tuple(sorted(s)) for s in B.proper_elements()]
     assert names == [(1,), (2,), (3,), (4,), (1, 2, 3), (1, 3, 4), (1, 2)]
-
-
-def test_solve_square():
-    rows = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
-    assert solve_square(rows, [Fraction(5), Fraction(10)]) == [Fraction(1), Fraction(3)]
-    singular = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    assert solve_square(singular, [Fraction(1), Fraction(1)]) is None
 
 
 def test_simplex_realization():
@@ -113,15 +130,46 @@ def test_truncation_single_cut():
     assert trunc.complex.f_vector() == (5, 9, 6)
 
 
+def labelled_facets(nerve):
+    """Facets as sets of element labels: exact, no isomorphism involved."""
+    return {
+        frozenset(nerve.labels[v - 1] for v in vertices_of(f)) for f in nerve.complex.facets
+    }
+
+
 def test_two_paths_agree():
-    for i in golden.NESTOHEDRAL_INDICES:
-        B = golden.golden_building_set(i)
+    inputs = [golden.golden_building_set(i) for i in golden.NESTOHEDRAL_INDICES]
+    inputs += [permutohedron_set(4), associahedron_set(5)]
+    for B in inputs:
         trunc = nerve_by_truncation(B)
         direct = nerve_of_realization(realize_nestohedron(B))
+        assert labelled_facets(trunc) == labelled_facets(direct)
         m = max(trunc.complex.m, direct.complex.m)
-        assert canonical_form(trunc.complex.with_ground(m)) == canonical_form(
-            direct.complex.with_ground(m)
-        )
+        if m <= MAX_CANON_VERTICES:
+            assert canonical_form(trunc.complex.with_ground(m)) == canonical_form(
+                direct.complex.with_ground(m)
+            )
+
+
+def test_realizations_pinned():
+    # SHA-256 of the sorted-key JSON: any change in a coordinate, a label or
+    # an order shows here
+    golden_list = [golden_polytope(i)[0].to_json_obj() for i in range(1, 14)]
+    assert json_sha256(golden_list) == (
+        "252f207e9c3d7a25a9f834fbd5d28232bee6567531cd09ba8e94fe56a9ed3b03"
+    )
+    assert json_sha256(realize_nestohedron(permutohedron_set(4)).to_json_obj()) == (
+        "25edd78a0737a06ed0357bc070224b3450fbbca3a4bd463dcc5ce019f652b52a"
+    )
+    assert json_sha256(realize_nestohedron(associahedron_set(5)).to_json_obj()) == (
+        "83c3af44ad7f3d790336805496f4a224c281d8ed4c2bfac989c40600dec85e0f"
+    )
+
+
+def test_enumeration_asserts_integral_h_representation():
+    R = realize_nestohedron(golden.golden_building_set(13))
+    with pytest.raises(AssertionError, match="integral"):
+        _enumerate_vertices(R.ambient, R.level + Fraction(1, 2), R.halfspaces)
 
 
 def test_nerves_match_spheres():

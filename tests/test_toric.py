@@ -2,8 +2,7 @@ from itertools import permutations
 
 import pytest
 
-from biersphere import golden
-from biersphere.bier import alexander_dual, bier_sphere
+from biersphere import golden, verify
 from biersphere.classify import enumerate_complexes
 from biersphere.complexes import SimplicialComplex
 from biersphere.toric import (
@@ -51,8 +50,7 @@ def test_det_int_against_expansion():
 
 
 def test_bier_charmap_shape():
-    K = SimplicialComplex.empty(4)
-    L = bier_charmap(K, alexander_dual(K))
+    L = bier_charmap(4)
     assert L.rows == 3 and L.cols == 8
     assert L.column(0) == (1, 0, 0)
     assert L.column(3) == (1, 1, 1)
@@ -61,8 +59,7 @@ def test_bier_charmap_shape():
 
 
 def test_bier_charmap_m2():
-    K = SimplicialComplex.empty(2)
-    L = bier_charmap(K, alexander_dual(K))
+    L = bier_charmap(2)
     assert L.entries == ((1, 1, 1, 1),)
 
 
@@ -183,3 +180,18 @@ def test_orientability_needs_three_rows():
 def test_charmatrix_json_roundtrip():
     A = golden.appendix_matrix(7)
     assert CharMatrix.from_json_obj(A.to_json_obj()) == A
+
+
+def test_check_buchstaber_counts_a_broken_labelling(monkeypatch):
+    def doubled_x1(m):
+        L = bier_charmap(m)
+        return CharMatrix(
+            entries=tuple(tuple(2 * x if j == 0 else x for j, x in enumerate(row)) for row in L.entries),
+            labels=L.labels,
+        )
+
+    monkeypatch.setattr(verify, "bier_charmap", doubled_x1)
+    rows = verify.check_buchstaber()
+    # every census sphere but the one on which x1 is a ghost has a facet at x1
+    assert [r.computed for r in rows] == ["2", "7", "27", "207"]
+    assert not any(r.passed for r in rows)
