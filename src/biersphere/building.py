@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import atan2
 
-from .complexes import SimplicialComplex, _antichain, mask_of
+from .complexes import SimplicialComplex, _antichain, mask_of, vertices_of
 
 
 class BuildingSetError(ValueError):
@@ -259,6 +259,13 @@ class NerveComplex:
     complex: SimplicialComplex
     labels: tuple[str, ...]  # label of each vertex position 1..m
 
+    def labelled_facets(self) -> frozenset[frozenset[str]]:
+        """Facets as sets of labels: equal for two nerves exactly when they
+        are the same labelled complex, whatever their vertex order."""
+        return frozenset(
+            frozenset(self.labels[v - 1] for v in vertices_of(f)) for f in self.complex.facets
+        )
+
 
 def nerve_of_realization(R: NestohedronRealization) -> NerveComplex:
     """Nerve of the facet covering: one vertex per nonempty facet."""
@@ -309,19 +316,12 @@ def nerve_by_truncation(B: BuildingSet) -> NerveComplex:
 
 
 def delzant_check(R: NestohedronRealization, Lambda) -> bool:
-    """Every vertex's tight-facet columns must form a lattice basis."""
-    labels = [h.label for h in R.halfspaces]
-    try:
-        col_of = {lab: Lambda.labels.index(lab) for lab in labels}
-    except ValueError as exc:
-        raise ValueError(f"matrix columns do not match facet labels: {exc}") from exc
-    n = Lambda.rows
-    for inc in R.incidence:
-        cols = [col_of[labels[h]] for h in sorted(inc)]
-        minor = [[Lambda.entries[r][c] for c in cols] for r in range(n)]
-        if det_int(minor) not in (1, -1):
-            return False
-    return True
+    """Every vertex's tight-facet columns must form a lattice basis: Lambda,
+    matched to the nerve's vertices by facet label, is characteristic."""
+    from .toric import validate_charmap
+
+    nerve = nerve_of_realization(R)
+    return validate_charmap(nerve.complex, Lambda.on(nerve.labels))[0]
 
 
 def realize_p6():

@@ -103,12 +103,6 @@ def canonical_form(K: SimplicialComplex) -> CanonicalForm:
     return _form(K, _canonical_search(K)[0])
 
 
-def canonical_labeling(K: SimplicialComplex) -> dict[int, int]:
-    """A labeling of the non-ghost vertices realising the canonical form."""
-    _, labeling = _canonical_search(K)
-    return labeling
-
-
 def isomorphic(K1: SimplicialComplex, K2: SimplicialComplex) -> dict[int, int] | None:
     """A vertex bijection witnessing combinatorial equivalence, if any.
 

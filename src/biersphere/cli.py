@@ -214,13 +214,7 @@ def cmd_charmap(args) -> int:
         except BuildingSetError as exc:
             raise CliError(EXIT_DOMAIN, str(exc))
         nerve = nerve_of_realization(realize_nestohedron(B))
-        reorder = {lab: j for j, lab in enumerate(Lambda.labels)}
-        cols = [reorder[lab] for lab in nerve.labels]
-        on_nerve = CharMatrix(
-            entries=tuple(tuple(row[j] for j in cols) for row in Lambda.entries),
-            labels=nerve.labels,
-        )
-        ok, bad = validate_charmap(nerve.complex, on_nerve)
+        ok, bad = validate_charmap(nerve.complex, Lambda.on(nerve.labels))
         if not ok:
             raise CliError(EXIT_VERIFY, f"validation failed on facet {list(vertices_of(bad))}")
         print("validation PASS", file=sys.stderr)

@@ -34,8 +34,17 @@ class CharMatrix:
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(self.entries[r][j] for r in range(self.rows))
 
-    def column_by_label(self, label: str) -> tuple[int, ...]:
-        return self.column(self.labels.index(label))
+    def on(self, labels) -> "CharMatrix":
+        """The columns with the given labels, in that order: the matrix
+        laid out on a complex whose vertex positions carry those labels."""
+        try:
+            cols = [self.labels.index(lab) for lab in labels]
+        except ValueError as exc:
+            raise ValueError(f"matrix columns do not match facet labels: {exc}") from exc
+        return CharMatrix(
+            entries=tuple(tuple(row[j] for j in cols) for row in self.entries),
+            labels=tuple(labels),
+        )
 
     def mod2(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(x % 2 for x in row) for row in self.entries)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import golden
-from .bier import alexander_dual, bier_mf_formula, bier_sphere, render_mf, side_label
+from .bier import alexander_dual, bier_mf_formula, bier_sphere, render_mf
 from .building import (
     NestohedronRealization,
     delzant_check,
@@ -27,9 +27,8 @@ from .classify import (
     canonical_form,
     classify_bier,
     enumerate_complexes,
-    isomorphic,
 )
-from .complexes import SimplicialComplex, mask_of, popcount, vertices_of
+from .complexes import SimplicialComplex, popcount
 from .toric import (
     CharMatrix,
     bier_charmap,
@@ -85,17 +84,6 @@ class PaperVerificationSummary:
         return "\n".join(lines) + "\n"
 
 
-def compress_ghosts(K: SimplicialComplex) -> tuple[SimplicialComplex, list[int]]:
-    """Drop ghost positions; returns the complex on [f_0] and the list of
-    surviving original positions in their new order."""
-    positions = list(vertices_of(K.vertex_mask()))
-    new_of = {p: i + 1 for i, p in enumerate(positions)}
-    facets = frozenset(
-        mask_of(new_of[v] for v in vertices_of(f)) for f in K.facets
-    )
-    return SimplicialComplex(len(positions), facets), positions
-
-
 @lru_cache(maxsize=None)
 def golden_polytope(i: int) -> tuple[NestohedronRealization, CharMatrix]:
     """The realized polytope of sphere type i with its Delzant matrix,
@@ -108,24 +96,15 @@ def golden_polytope(i: int) -> tuple[NestohedronRealization, CharMatrix]:
 
 
 def sphere_charmap(i: int) -> tuple[SimplicialComplex, CharMatrix]:
-    """The golden sphere of type i with no ghosts, paired with a valid
-    matrix whose columns follow its vertex order.
+    """The nerve of the realized polytope of type i, paired with its Delzant
+    matrix laid out on the nerve's vertices by facet label.
 
-    The columns come from the Delzant matrix of the realized polytope,
-    carried over by an isomorphism of its nerve onto the sphere.
+    The nerve is certified isomorphic to the golden sphere of type i by the
+    nestohedron rows and, for type 6, by the type-6 nerve row.
     """
-    S = golden.golden_sphere(i)
-    compact, positions = compress_ghosts(S)
-    names = tuple(side_label(p, golden.SOURCE_M) for p in positions)
     R, F = golden_polytope(i)
     nerve = nerve_of_realization(R)
-    witness = isomorphic(nerve.complex.with_ground(S.m), S)
-    if witness is None:
-        raise AssertionError(f"nerve of type {i} does not match its sphere")
-    label_of_sphere = {q: nerve.labels[p - 1] for p, q in witness.items()}
-    cols = [F.column_by_label(label_of_sphere[p]) for p in positions]
-    entries = tuple(tuple(c[r] for c in cols) for r in range(3))
-    return compact, CharMatrix(entries=entries, labels=names)
+    return nerve.complex, F.on(nerve.labels)
 
 
 def _row(name: str, expected, computed) -> CheckRow:
@@ -231,9 +210,7 @@ def check_appendix_matrices() -> list[CheckRow]:
     for i in golden.NESTOHEDRAL_INDICES:
         _, F = golden_polytope(i)
         A = golden.appendix_matrix(i)
-        ok = sorted(F.labels) == sorted(A.labels) and all(
-            F.column_by_label(lab) == A.column_by_label(lab) for lab in A.labels
-        )
+        ok = sorted(F.labels) == sorted(A.labels) and F.on(A.labels) == A
         rows.append(_row(f"canonical matrix type {i}", True, ok))
     R6, L6 = golden_polytope(6)
     A6 = golden.appendix_matrix(6)
@@ -261,10 +238,9 @@ def check_nestohedra() -> list[CheckRow]:
         nerve = nerve_of_realization(R)
         trunc = nerve_by_truncation(golden.golden_building_set(i))
         S = golden.golden_sphere(i)
-        target = canonical_form(S)
         ok = (
-            canonical_form(nerve.complex.with_ground(S.m)) == target
-            and canonical_form(trunc.complex.with_ground(S.m)) == target
+            canonical_form(nerve.complex.with_ground(S.m)) == canonical_form(S)
+            and trunc.labelled_facets() == nerve.labelled_facets()
             and delzant_check(R, F)
         )
         rows.append(_row(f"nestohedron type {i}", True, ok))

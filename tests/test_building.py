@@ -21,7 +21,6 @@ from biersphere.building import (
     write_off,
 )
 from biersphere.classify import MAX_CANON_VERTICES, canonical_form
-from biersphere.complexes import vertices_of
 from biersphere.toric import fenn_charmap
 from biersphere.verify import golden_polytope
 
@@ -130,20 +129,13 @@ def test_truncation_single_cut():
     assert trunc.complex.f_vector() == (5, 9, 6)
 
 
-def labelled_facets(nerve):
-    """Facets as sets of element labels: exact, no isomorphism involved."""
-    return {
-        frozenset(nerve.labels[v - 1] for v in vertices_of(f)) for f in nerve.complex.facets
-    }
-
-
 def test_two_paths_agree():
     inputs = [golden.golden_building_set(i) for i in golden.NESTOHEDRAL_INDICES]
     inputs += [permutohedron_set(4), associahedron_set(5)]
     for B in inputs:
         trunc = nerve_by_truncation(B)
         direct = nerve_of_realization(realize_nestohedron(B))
-        assert labelled_facets(trunc) == labelled_facets(direct)
+        assert trunc.labelled_facets() == direct.labelled_facets()
         m = max(trunc.complex.m, direct.complex.m)
         if m <= MAX_CANON_VERTICES:
             assert canonical_form(trunc.complex.with_ground(m)) == canonical_form(
@@ -203,6 +195,14 @@ def test_delzant_check_rejects_bad_matrix():
         labels=F.labels,
     )
     assert not delzant_check(R, doubled)
+
+
+def test_delzant_check_needs_every_facet_label():
+    B = golden.golden_building_set(10)
+    F = fenn_charmap(B)
+    short = F.on(F.labels[:-1])
+    with pytest.raises(ValueError, match="do not match facet labels"):
+        delzant_check(realize_nestohedron(B), short)
 
 
 def test_realize_p6():

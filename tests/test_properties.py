@@ -26,3 +26,19 @@ def test_swapped_sphere_is_bier_of_dual(K):
     S = bier_sphere(K).complex
     swapped = frozenset((f >> m) | ((f & low) << m) for f in S.facets)
     assert bier_sphere(alexander_dual(K)).complex.facets == swapped
+
+
+@settings(deadline=None, max_examples=150)
+@given(non_simplex_complexes(max_m=8))
+def test_minimal_non_faces_rebuild_the_complex(K):
+    # brute force over all 2^m subsets: the faces are the sets that contain
+    # no minimal non-face
+    mnf = K.minimal_non_faces()
+    faces = [s for s in range(1 << K.m) if not any(s & n == n for n in mnf)]
+    assert SimplicialComplex(K.m, _antichain(faces)) == K
+
+
+@settings(deadline=None, max_examples=150)
+@given(non_simplex_complexes(max_m=8))
+def test_alexander_dual_is_an_involution(K):
+    assert alexander_dual(alexander_dual(K)) == K

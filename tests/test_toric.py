@@ -100,12 +100,12 @@ def test_buchstaber_exhaustive_small():
 
 
 def test_fenn_columns():
-    F = fenn_charmap(golden.golden_building_set(13))
-    assert F.column_by_label("{1}") == (1, 0, 0)
-    assert F.column_by_label("{4}") == (-1, -1, -1)
-    F10 = fenn_charmap(golden.golden_building_set(10))
-    assert F10.column_by_label("{1,2}") == (1, 1, 0)
-    assert F10.column_by_label("{1,2,3}") == (1, 1, 1)
+    F = fenn_charmap(golden.golden_building_set(13)).on(("{1}", "{4}"))
+    assert F.column(0) == (1, 0, 0)
+    assert F.column(1) == (-1, -1, -1)
+    F10 = fenn_charmap(golden.golden_building_set(10)).on(("{1,2}", "{1,2,3}"))
+    assert F10.column(0) == (1, 1, 0)
+    assert F10.column(1) == (1, 1, 1)
 
 
 def test_fenn_matches_published_matrices():
@@ -113,8 +113,32 @@ def test_fenn_matches_published_matrices():
         F = fenn_charmap(golden.golden_building_set(i))
         A = golden.appendix_matrix(i)
         assert sorted(F.labels) == sorted(A.labels)
-        for lab in A.labels:
-            assert F.column_by_label(lab) == A.column_by_label(lab)
+        assert F.on(A.labels) == A
+
+
+def test_on_lays_columns_out_by_label():
+    A = CharMatrix(entries=((1, 0, 1), (0, 1, 1)), labels=("a", "b", "c"))
+    assert A.on(("c", "a")) == CharMatrix(entries=((1, 1), (1, 0)), labels=("c", "a"))
+    for perm in permutations(A.labels):
+        assert A.on(perm).on(A.labels) == A
+    with pytest.raises(ValueError, match="do not match facet labels"):
+        A.on(("a", "d"))
+
+
+def test_p6_vertex_map_is_least_valid():
+    # P6_COLUMN_OF_VERTEX is documented as the lexicographically least column
+    # assignment under which the published type-6 matrix is valid
+    S6 = golden.golden_sphere(6)
+    rows = golden.CHAR_MATRICES[6]
+    names = tuple(f"x{j}" for j in range(1, 5)) + tuple(f"y{j}" for j in range(1, 5))
+
+    def valid(cols):
+        entries = tuple(tuple(row[c] for c in cols) for row in rows)
+        return validate_charmap(S6, CharMatrix(entries=entries, labels=names))[0]
+
+    first = next(cols for cols in permutations(range(8)) if valid(cols))
+    assert first == golden.P6_COLUMN_OF_VERTEX
+    assert validate_charmap(S6, golden.appendix_matrix(6).on(names))[0]
 
 
 def test_cohomology_presentation():
