@@ -332,10 +332,10 @@ def realize_p6():
     four triples T, at level 3.  This is the cube [0,2]^3 in (x_1, x_2, x_3) with the two
     opposite corners where x_1 + x_2 + x_3 is 0 or 6 cut off.  Returns the
     polytope with its Delzant matrix fenn_charmap(B_1), whose column set is
-    the published type-6 matrix; both certificates are asserted.
+    the published type-6 matrix.  Asserts neither: the verify rows
+    `type 6 nerve` and `type 6 Delzant` are the certificates.
     """
     from . import golden
-    from .classify import canonical_form
     from .toric import fenn_charmap
 
     B1 = golden.golden_building_set(1)
@@ -345,15 +345,7 @@ def realize_p6():
             return 1
         return -2 if S == {4} else 0
 
-    R6 = _realize(B1, z, 3)
-    S6 = golden.golden_sphere(6)
-    nerve = nerve_of_realization(R6)
-    if canonical_form(nerve.complex.with_ground(S6.m)) != canonical_form(S6):
-        raise AssertionError("type-6 realization does not have the type-6 nerve")
-    Lambda = fenn_charmap(B1)
-    if not delzant_check(R6, Lambda):
-        raise AssertionError("type-6 realization failed its Delzant certificate")
-    return R6, Lambda
+    return _realize(B1, z, 3), fenn_charmap(B1)
 
 
 # -- OFF export -------------------------------------------------------------

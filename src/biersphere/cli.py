@@ -24,7 +24,7 @@ from .classify import MAX_CENSUS_M, classify_bier
 from .complexes import SimplicialComplex, vertices_of
 from .toric import (
     CharMatrix,
-    bier_charmap,
+    buchstaber_certificate,
     cohomology_presentation,
     fenn_charmap,
     small_cover_orientable,
@@ -199,14 +199,15 @@ def cmd_charmap(args) -> int:
     if args.bier:
         K = _load_complex(args.bier)
         try:
-            S = bier_sphere(K)
+            cert = buchstaber_certificate(K)
         except (FullSimplexError, ValueError) as exc:
             raise CliError(EXIT_DOMAIN, str(exc))
-        Lambda = bier_charmap(K.m)
-        ok, bad = validate_charmap(S.complex, Lambda)
-        if not ok:
-            raise CliError(EXIT_VERIFY, f"validation failed on facet {list(vertices_of(bad))}")
-        print(f"validation PASS, s={K.m + 1}", file=sys.stderr)
+        if cert.bad_facet is not None:
+            raise CliError(
+                EXIT_VERIFY, f"validation failed on facet {list(vertices_of(cert.bad_facet))}"
+            )
+        Lambda = cert.matrix
+        print(f"validation PASS, s={cert.upper_bound}", file=sys.stderr)
     else:
         B = _load_building(args.building)
         try:

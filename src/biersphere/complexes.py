@@ -163,7 +163,7 @@ class SimplicialComplex:
                 counts[k - 1] += 1
         return tuple(counts)
 
-    def h_vector(self, n: int | None = None) -> tuple[int, ...]:
+    def h_vector(self) -> tuple[int, ...]:
         """(h_0, ..., h_n) for a pure complex of dimension n-1.
 
         Expands h_0 t^n + ... + h_n = (t-1)^n + f_0 (t-1)^{n-1} + ... + f_{n-1}
@@ -172,10 +172,7 @@ class SimplicialComplex:
         if not self.is_pure():
             raise ValueError("h-vector requires a pure complex")
         f = self.f_vector()
-        if n is None:
-            n = self.dim + 1
-        if n != self.dim + 1:
-            raise ValueError("ambient rank must equal dim + 1")
+        n = self.dim + 1
         fext = (1,) + f  # f_{-1} = 1
         h = []
         for k in range(n + 1):
@@ -218,15 +215,6 @@ class SimplicialComplex:
         return all(popcount(s) <= 2 for s in self.minimal_non_faces())
 
     # -- derived complexes ----------------------------------------------
-
-    def skeleton(self, ell: int) -> "SimplicialComplex":
-        if not -1 <= ell <= self.dim:
-            raise ValueError(f"skeleton index {ell} out of range")
-        if ell == -1:
-            return SimplicialComplex.empty(self.m)
-        faces = {f for f in self.faces() if popcount(f) == ell + 1}
-        lower = {f for f in self.facets if popcount(f) <= ell + 1}
-        return SimplicialComplex(self.m, _antichain(faces | lower))
 
     def stellar_subdivision(self, sigma: int) -> "SimplicialComplex":
         """Stellar subdivision at the nonempty face sigma.

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from biersphere import golden
+from biersphere import golden, verify
 from biersphere.building import (
     BuildingSet,
     BuildingSetError,
@@ -21,7 +21,7 @@ from biersphere.building import (
     write_off,
 )
 from biersphere.classify import MAX_CANON_VERTICES, canonical_form
-from biersphere.toric import fenn_charmap
+from biersphere.toric import CharMatrix, fenn_charmap
 from biersphere.verify import golden_polytope
 
 
@@ -184,17 +184,17 @@ def test_delzant_check():
         assert delzant_check(realize_nestohedron(B), fenn_charmap(B))
 
 
-def test_delzant_check_rejects_bad_matrix():
-    from biersphere.toric import CharMatrix
-
-    B = golden.golden_building_set(13)
-    R = realize_nestohedron(B)
-    F = fenn_charmap(B)
-    doubled = CharMatrix(
+def double_first_column(F):
+    return CharMatrix(
         entries=tuple(tuple(2 * x if j == 0 else x for j, x in enumerate(row)) for row in F.entries),
         labels=F.labels,
     )
-    assert not delzant_check(R, doubled)
+
+
+def test_delzant_check_rejects_bad_matrix():
+    B = golden.golden_building_set(13)
+    R = realize_nestohedron(B)
+    assert not delzant_check(R, double_first_column(fenn_charmap(B)))
 
 
 def test_delzant_check_needs_every_facet_label():
@@ -216,6 +216,24 @@ def test_realize_p6():
     A6 = golden.appendix_matrix(6)
     assert sorted(L6.column(j) for j in range(8)) == sorted(A6.column(j) for j in range(8))
     assert L6 == fenn_charmap(golden.golden_building_set(1))
+
+
+def test_broken_type_6_matrix_fails_its_rows(monkeypatch):
+    # the verify rows are the only type-6 certificate, so a bad matrix must
+    # come back as FAIL rows, not as an exception out of the realizer
+    def broken_p6():
+        R6, L6 = realize_p6()
+        return R6, double_first_column(L6)
+
+    monkeypatch.setattr(verify, "realize_p6", broken_p6)
+    verify.golden_polytope.cache_clear()
+    try:
+        rows = verify.check_betti() + verify.check_appendix_matrices()
+    finally:
+        verify.golden_polytope.cache_clear()
+    failed = {r.name: r.computed for r in rows if not r.passed}
+    assert sorted(failed) == ["Betti numbers type 6", "type 6 Delzant", "type 6 matrix columns"]
+    assert "not valid for the complex" in failed["Betti numbers type 6"]
 
 
 def test_off_roundtrip():

@@ -181,10 +181,10 @@ def test_orientable_command(capsys, tmp_path):
 
 
 def test_betti_command(capsys, tmp_path):
-    from biersphere.verify import sphere_charmap
+    from biersphere.verify import golden_polytope
 
-    S, Lam = sphere_charmap(13)
-    cpath = write(tmp_path / "c.json", S.to_json_obj())
+    _, nerve, Lam = golden_polytope(13)
+    cpath = write(tmp_path / "c.json", nerve.complex.to_json_obj())
     mpath = write(tmp_path / "m.json", Lam.to_json_obj())
     code, out, _ = run(capsys, "betti", cpath, mpath)
     assert code == 0

@@ -51,7 +51,7 @@ def test_boundary_of_simplex():
 def test_empty_complex_is_all_ghosts():
     K = SimplicialComplex.empty(4)
     assert K.dim == -1
-    assert not K.is_void_of_faces or True  # empty complex still has the empty face
+    assert K.is_void_of_faces  # only the empty face
     assert list(K.ghost_vertices()) == [1, 2, 3, 4]
     with pytest.raises(DegenerateComplexError):
         K.f_vector()
@@ -92,15 +92,6 @@ def test_flag_detection():
     square = SimplicialComplex.from_facets(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
     assert square.is_flag()
     assert not SimplicialComplex.simplex_boundary(3).is_flag()
-
-
-def test_skeleton():
-    K = SimplicialComplex.simplex(4)
-    sk1 = K.skeleton(1)
-    assert sk1.f_vector() == (4, 6)
-    assert K.skeleton(-1) == SimplicialComplex.empty(4)
-    with pytest.raises(ValueError):
-        K.skeleton(5)
 
 
 def test_stellar_subdivision_counts():

@@ -2,7 +2,7 @@ from itertools import permutations
 
 import pytest
 
-from biersphere import golden, verify
+from biersphere import golden, toric, verify
 from biersphere.classify import enumerate_complexes
 from biersphere.complexes import SimplicialComplex
 from biersphere.toric import (
@@ -16,7 +16,7 @@ from biersphere.toric import (
     small_cover_orientable,
     validate_charmap,
 )
-from biersphere.verify import sphere_charmap
+from biersphere.verify import golden_polytope
 
 
 def det_oracle(a):
@@ -64,13 +64,14 @@ def test_bier_charmap_m2():
 
 
 def test_validate_charmap_golden():
-    S, Lam = sphere_charmap(13)
-    ok, bad = validate_charmap(S, Lam)
+    _, nerve, Lam = golden_polytope(13)
+    ok, bad = validate_charmap(nerve.complex, Lam)
     assert ok and bad is None
 
 
 def test_validate_charmap_reports_failure():
-    S, Lam = sphere_charmap(13)
+    _, nerve, Lam = golden_polytope(13)
+    S = nerve.complex
     broken = CharMatrix(
         entries=tuple(
             tuple(row[0] if j == 1 else x for j, x in enumerate(row))
@@ -94,9 +95,29 @@ def test_buchstaber_exhaustive_small():
     for m in (2, 3, 4):
         for K in enumerate_complexes(m):
             cert = buchstaber_certificate(K)
-            assert cert.claimed_s == m + 1 == cert.upper_bound
+            assert cert.upper_bound == m + 1
+            assert cert.bad_facet is None
             ok, _ = validate_charmap(cert.sphere.complex, cert.matrix)
             assert ok
+
+
+def doubled_x1(m):
+    """The doubled-ground labelling with its x1 column doubled: det 2 on
+    every facet through x1."""
+    L = bier_charmap(m)
+    return CharMatrix(
+        entries=tuple(tuple(2 * x if j == 0 else x for j, x in enumerate(row)) for row in L.entries),
+        labels=L.labels,
+    )
+
+
+def test_buchstaber_certificate_can_fail(monkeypatch):
+    monkeypatch.setattr(toric, "bier_charmap", doubled_x1)
+    cert = buchstaber_certificate(SimplicialComplex.from_facets(4, [[1, 2], [3]]))
+    assert cert.bad_facet is not None
+    assert cert.bad_facet in cert.sphere.complex.facets
+    assert cert.bad_facet & 1
+    assert cert.upper_bound == 5
 
 
 def test_fenn_columns():
@@ -142,7 +163,8 @@ def test_p6_vertex_map_is_least_valid():
 
 
 def test_cohomology_presentation():
-    S, Lam = sphere_charmap(10)
+    _, nerve, Lam = golden_polytope(10)
+    S = nerve.complex
     pres = cohomology_presentation(S, Lam)
     assert pres.betti == (1, 3, 3, 1)
     assert sum(pres.betti) == S.f_vector()[-1]
@@ -153,20 +175,21 @@ def test_cohomology_presentation():
 
 def test_betti_golden_all_types():
     for i in range(1, 14):
-        S, Lam = sphere_charmap(i)
-        assert cohomology_presentation(S, Lam).betti == golden.BETTI[i]
+        _, nerve, Lam = golden_polytope(i)
+        assert cohomology_presentation(nerve.complex, Lam).betti == golden.BETTI[i]
 
 
 def test_betti_sanity():
     for i in range(1, 14):
-        S, Lam = sphere_charmap(i)
-        b = cohomology_presentation(S, Lam).betti
+        _, nerve, Lam = golden_polytope(i)
+        b = cohomology_presentation(nerve.complex, Lam).betti
         assert b[0] == b[-1] == 1
-        assert b[1] == S.m - 3
+        assert b[1] == nerve.complex.m - 3
 
 
 def test_presentation_rejects_invalid_matrix():
-    S, Lam = sphere_charmap(13)
+    _, nerve, Lam = golden_polytope(13)
+    S = nerve.complex
     zeroed = CharMatrix(
         entries=tuple(tuple(0 for _ in row) for row in Lam.entries),
         labels=Lam.labels,
@@ -207,13 +230,6 @@ def test_charmatrix_json_roundtrip():
 
 
 def test_check_buchstaber_counts_a_broken_labelling(monkeypatch):
-    def doubled_x1(m):
-        L = bier_charmap(m)
-        return CharMatrix(
-            entries=tuple(tuple(2 * x if j == 0 else x for j, x in enumerate(row)) for row in L.entries),
-            labels=L.labels,
-        )
-
     monkeypatch.setattr(verify, "bier_charmap", doubled_x1)
     rows = verify.check_buchstaber()
     # every census sphere but the one on which x1 is a ghost has a facet at x1
