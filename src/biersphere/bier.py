@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from .complexes import (
     SimplicialComplex,
     _antichain,
-    popcount,
     submasks,
     vertices_of,
 )
@@ -95,7 +94,7 @@ def bier_mf_formula(K: SimplicialComplex) -> list[int]:
         low = rest & -rest
         out.append(low | (low << m))
         rest &= rest - 1
-    out.sort(key=lambda x: (popcount(x), x))
+    out.sort(key=lambda x: (x.bit_count(), x))
     return out
 
 

@@ -1,22 +1,27 @@
 """Building sets and exact nestohedron geometry.
 
-Realizations intersect the level hyperplane sum(x) = |B| with the halfspaces
-sum_{i in S} x_i >= |B restricted to S|; the non-nestohedral type 6 keeps
-those normals with other right-hand sides.  Vertices are enumerated by solving
-every square subsystem by Cramer's rule on the integer determinant det_int,
-the same kernel that certifies characteristic matrices.  No floating point
-enters any decision; floats only order vertices cosmetically in the OFF
-export.
+Every polytope here is Postnikov's generalized permutohedron sum_T y_T Delta_T
+for integer coefficients y: y = 1 on each element of B for the nestohedron of
+B, and a signed table on the type-1 building set for type 6.  Its halfspaces
+are sum_{i in S} x_i >= sum_{T subset of S} y_T over the proper elements S of
+B, on the level hyperplane sum(x) = sum(y).  Vertices are read off
+orderings of the ground set in integers, one per B-forest for a nestohedron
+and all 24 for type 6, and certified, not searched for: each is feasible and
+simple, and their tight sets close up, so no vertex is missing.  No floating
+point enters any decision; floats only order vertices cosmetically in the
+OFF export.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import cache
+from itertools import combinations, permutations
 from math import atan2
+from operator import mul
 
-from .complexes import SimplicialComplex, _antichain, mask_of, vertices_of
+from .complexes import SimplicialComplex, _antichain, mask_of, ridges_in_two, vertices_of
 
 
 class BuildingSetError(ValueError):
@@ -47,9 +52,6 @@ class BuildingSet:
             key=lambda s: (-len(s), tuple(sorted(s))),
         )
         return singles + rest
-
-    def restriction_size(self, S: frozenset[int]) -> int:
-        return sum(1 for e in self.elements if e <= S)
 
     def to_json_obj(self) -> dict:
         return {
@@ -83,30 +85,6 @@ def validate_building_set(elements, n_plus_1: int) -> BuildingSet:
     return BuildingSet(n_plus_1, elems)
 
 
-# -- exact linear algebra -------------------------------------------------
-
-def det_int(rows: list[list[int]]) -> int:
-    """Exact determinant by Bareiss fraction-free elimination."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 @dataclass(frozen=True)
 class Halfspace:
     """coeffs . x >= rhs, labelled; element is set for nestohedral facets."""
@@ -126,10 +104,6 @@ class NestohedronRealization:
     halfspaces: tuple[Halfspace, ...]
     vertices: tuple[tuple[Fraction, ...], ...]
     incidence: tuple[frozenset[int], ...]  # halfspace indices tight per vertex
-
-    @property
-    def dim(self) -> int:
-        return self.ambient - 1
 
     def facet_vertex_sets(self) -> list[frozenset[int]]:
         """Per halfspace, the set of vertex indices lying on it."""
@@ -174,82 +148,103 @@ class NestohedronRealization:
         )
 
 
-def _enumerate_vertices(
-    ambient: int, level: Fraction, halfspaces: tuple[Halfspace, ...]
-) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[frozenset[int], ...]]:
-    """Brute-force vertex enumeration inside the level hyperplane.
-
-    Solves each (ambient x ambient) system of dim tight halfspaces plus the
-    hyperplane by Cramer's rule on integer determinants, tests feasibility
-    as integer inequalities c . N >= rhs * D before any fraction is built,
-    dedupes, and recomputes incidence from scratch so simplicity can be
-    asserted independently.
-    """
-    if level.denominator != 1 or any(h.rhs.denominator != 1 for h in halfspaces):
-        raise AssertionError("the H-representation must be integral")
-    dim = ambient - 1
-    points: list[tuple[Fraction, ...]] = []
-    for tight in combinations(range(len(halfspaces)), dim):
-        rows = [list(halfspaces[i].coeffs) for i in tight] + [[1] * ambient]
-        rhs = [halfspaces[i].rhs.numerator for i in tight] + [level.numerator]
-        D = det_int(rows)
-        if D == 0:
-            continue
-        N = [
-            det_int([r[:j] + [b] + r[j + 1:] for r, b in zip(rows, rhs)])
-            for j in range(ambient)
-        ]
-        if D < 0:
-            D, N = -D, [-x for x in N]
-        if all(
-            sum(c * x for c, x in zip(h.coeffs, N)) >= h.rhs.numerator * D
-            for h in halfspaces
-        ):
-            pt = tuple(Fraction(x, D) for x in N)
-            if pt not in points:
-                points.append(pt)
-    points.sort()
-    incidence = []
-    for pt in points:
-        tightset = frozenset(
-            i
-            for i, h in enumerate(halfspaces)
-            if sum(Fraction(c) * x for c, x in zip(h.coeffs, pt)) == h.rhs
-        )
-        if len(tightset) != dim:
-            raise AssertionError(f"non-simple vertex {pt}: tight on {len(tightset)} facets")
-        incidence.append(tightset)
-    return tuple(points), tuple(incidence)
-
-
 def element_label(S) -> str:
     """Label of a building-set element, e.g. "{1,2,4}"."""
     return "{" + ",".join(map(str, sorted(S))) + "}"
 
 
-def _realize(B: BuildingSet, z, level: int) -> NestohedronRealization:
-    """The polytope sum(x) = level, sum_{i in S} x_i >= z(S) for each proper
-    element S of B (Postnikov's H-representation), enumerated exactly."""
-    ambient = B.n_plus_1
+def _realize(B: BuildingSet, y: dict[frozenset[int], int], orderings) -> NestohedronRealization:
+    """Postnikov's generalized permutohedron sum_T y_T Delta_T for integer
+    coefficients y on subsets T of [n+1], in the hyperplane sum(x) = sum(y).
+
+    Each proper element S of B gives the halfspace sum_{i in S} x_i >= z(S),
+    where z(S) = sum_{T subset of S} y_T.  Each ordering w of the 0-based
+    coordinates gives the point sum_T y_T e_{last_w(T)}: coordinate w_k is z
+    of the prefix through w_k minus z of the prefix before it.
+    _certified_incidence proves that these points are all the vertices.
+    """
+    n1 = B.n_plus_1
+    masks = [(mask_of(T), c) for T, c in y.items()]
+
+    @cache
+    def z(I: int) -> int:
+        return sum(c for t, c in masks if t & ~I == 0)
+
+    points = set()
+    for w in orderings:
+        x = [0] * n1
+        prefix = 0
+        for i in w:
+            x[i] = z(prefix | 1 << i) - z(prefix)
+            prefix |= 1 << i
+        points.add(tuple(x))
+    points = sorted(points)
+    proper = B.proper_elements()
+    rows = [(tuple(1 if i in S else 0 for i in range(1, n1 + 1)), z(mask_of(S))) for S in proper]
+    incidence = _certified_incidence(rows, points, n1 - 1)
     halfspaces = tuple(
-        Halfspace(
-            label=element_label(S),
-            coeffs=tuple(1 if i in S else 0 for i in range(1, ambient + 1)),
-            rhs=Fraction(z(S)),
-            element=S,
-        )
-        for S in B.proper_elements()
+        Halfspace(element_label(S), a, Fraction(b), S) for S, (a, b) in zip(proper, rows)
     )
-    level = Fraction(level)
-    vertices, incidence = _enumerate_vertices(ambient, level, halfspaces)
-    return NestohedronRealization(ambient, level, halfspaces, vertices, incidence)
+    vertices = tuple(tuple(map(Fraction, p)) for p in points)
+    return NestohedronRealization(n1, Fraction(sum(y.values())), halfspaces, vertices, incidence)
+
+
+def _certified_incidence(rows, points, n: int) -> tuple[frozenset[int], ...]:
+    """Per integer point, the indices of the halfspaces coeffs . x >= rhs in
+    rows that it is tight on.
+
+    Raises AssertionError unless each point satisfies every halfspace and is
+    tight on exactly n of them, whose normals are independent of each other
+    and of the all-ones level row, so it is a simple vertex; and the tight
+    sets close up: every (n-1)-subset of one lies in exactly two.  Then every
+    edge from a listed vertex ends at a listed vertex, and the graph of a
+    bounded polytope is connected, so no vertex is missing.
+    """
+    from .toric import det_int
+
+    incidence = []
+    for p in points:
+        slack = [sum(map(mul, coeffs, p)) - rhs for coeffs, rhs in rows]
+        if min(slack, default=0) < 0:
+            raise AssertionError(f"point {p} violates a halfspace")
+        tight = frozenset(j for j, d in enumerate(slack) if d == 0)
+        if len(tight) != n:
+            raise AssertionError(f"non-simple vertex {p}: tight on {len(tight)} facets")
+        if det_int([rows[j][0] for j in sorted(tight)] + [(1,) * len(p)]) == 0:
+            raise AssertionError(f"point {p} is not a vertex: its tight normals are dependent")
+        incidence.append(tight)
+    if not ridges_in_two(mask_of(j + 1 for j in t) for t in incidence):
+        raise AssertionError("the tight sets do not close up: an edge leaves the points")
+    return tuple(incidence)
+
+
+def _forest_orderings(B: BuildingSet) -> list[tuple[int, ...]]:
+    """One ordering of the 0-based coordinates per B-forest: the maximal
+    elements of B inside the remaining set partition it, and each of them
+    ends with a chosen root after an ordering of the rest of it.  For y > 0
+    on B the normal fan of sum_S y_S Delta_S is the nested fan of B
+    (Postnikov 2009, Thm 7.4), so these reach every vertex once, at a cost
+    proportional to the number of vertices, not to (n+1)!."""
+    by_size = sorted(map(mask_of, B.elements), key=int.bit_count, reverse=True)
+
+    def orderings(I: int) -> list[tuple[int, ...]]:
+        out, covered = [()], 0
+        for C in by_size:
+            if C & ~I == 0 and not C & covered:
+                covered |= C
+                rest = [(w, c - 1) for c in vertices_of(C) for w in orderings(C & ~(1 << c - 1))]
+                out = [u + w + (c,) for u in out for w, c in rest]
+        return out
+
+    return orderings(mask_of(B.full_set))
 
 
 def realize_nestohedron(B: BuildingSet) -> NestohedronRealization:
-    """The nestohedron: z(S) = |B restricted to S| at level |B|."""
+    """The nestohedron sum_{S in B} Delta_S: y = 1 on each element of B, so
+    z(S) = |B restricted to S| at level |B|, read off the B-forests."""
     if not B.is_connected:
         raise BuildingSetError("realization requires a connected building set")
-    return _realize(B, B.restriction_size, len(B.elements))
+    return _realize(B, dict.fromkeys(B.elements, 1), _forest_orderings(B))
 
 
 @dataclass(frozen=True)
@@ -327,25 +322,26 @@ def delzant_check(R: NestohedronRealization, Lambda) -> bool:
 def realize_p6():
     """The one non-nestohedral type, as a generalized permutohedron.
 
-    Same facet normals as the type-1 nestohedron, other right-hand sides:
-    x_i >= 0 for i = 1, 2, 3, x_4 >= -2 and sum_{i in T} x_i >= 1 for the
-    four triples T, at level 3.  This is the cube [0,2]^3 in (x_1, x_2, x_3) with the two
+    It is sum_T y_T Delta_T on the type-1 building set B_1 with the signed
+    coefficients y_{4} = -2, y_{i,4} = 1 for i = 1, 2, 3, y_T = 1 for each of
+    the four triples T and y_{1,2,3,4} = -2; the level is sum(y) = 3.  Its
+    halfspaces are those of the type-1 nestohedron with other right-hand
+    sides: x_i >= 0 for i = 1, 2, 3, x_4 >= -2 and sum_{i in T} x_i >= 1 for
+    the triples.  This is the cube [0,2]^3 in (x_1, x_2, x_3) with the two
     opposite corners where x_1 + x_2 + x_3 is 0 or 6 cut off.  Returns the
     polytope with its Delzant matrix fenn_charmap(B_1), whose column set is
-    the published type-6 matrix.  Asserts neither: the verify rows
-    `type 6 nerve` and `type 6 Delzant` are the certificates.
+    the published type-6 matrix.  Its normal fan is not the nested fan of
+    B_1, so its vertices are read off all 24 orderings of [4], not the B_1
+    forests.  Only the vertices are certified here: the verify rows `type 6
+    nerve` and `type 6 Delzant` certify the rest.
     """
     from . import golden
     from .toric import fenn_charmap
 
     B1 = golden.golden_building_set(1)
-
-    def z(S):
-        if len(S) == 3:
-            return 1
-        return -2 if S == {4} else 0
-
-    return _realize(B1, z, 3), fenn_charmap(B1)
+    y = {frozenset(T): 1 for T in [(1, 4), (2, 4), (3, 4), *combinations((1, 2, 3, 4), 3)]}
+    y.update({frozenset({4}): -2, frozenset({1, 2, 3, 4}): -2})
+    return _realize(B1, y, permutations(range(4))), fenn_charmap(B1)
 
 
 # -- OFF export -------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .bier import bier_sphere, render_mf
-from .complexes import SimplicialComplex, mask_of, popcount, vertices_of
+from .complexes import SimplicialComplex, mask_of, vertices_of
 
 MAX_CANON_VERTICES = 10
 MAX_CENSUS_M = 5  # largest ground set of the census, classification and checks
@@ -96,7 +96,7 @@ def _canonical_search(K: SimplicialComplex):
 
 
 def _form(K: SimplicialComplex, enc) -> CanonicalForm:
-    return CanonicalForm(K.m - popcount(K.vertex_mask()), K.m, enc)
+    return CanonicalForm(K.m - K.vertex_mask().bit_count(), K.m, enc)
 
 
 def canonical_form(K: SimplicialComplex) -> CanonicalForm:

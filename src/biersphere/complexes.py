@@ -39,10 +39,6 @@ def vertices_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def popcount(mask: int) -> int:
-    return bin(mask).count("1")
-
-
 def submasks(mask: int):
     """All subsets of ``mask``, including 0 and mask itself."""
     sub = mask
@@ -51,6 +47,20 @@ def submasks(mask: int):
         if sub == 0:
             return
         sub = (sub - 1) & mask
+
+
+def ridges_in_two(facets) -> bool:
+    """Every codimension-1 subset of a member of the family of masks lies in
+    exactly two members."""
+    ridge_count: dict[int, int] = {}
+    for f in facets:
+        rest = f
+        while rest:
+            low = rest & -rest
+            r = f & ~low
+            ridge_count[r] = ridge_count.get(r, 0) + 1
+            rest &= rest - 1
+    return all(c == 2 for c in ridge_count.values())
 
 
 def _antichain(masks) -> frozenset[int]:
@@ -113,7 +123,7 @@ class SimplicialComplex:
 
     @property
     def dim(self) -> int:
-        return max(popcount(f) for f in self.facets) - 1
+        return max(f.bit_count() for f in self.facets) - 1
 
     @property
     def is_void_of_faces(self) -> bool:
@@ -125,7 +135,7 @@ class SimplicialComplex:
         return self.facets == frozenset({(1 << self.m) - 1})
 
     def is_pure(self) -> bool:
-        sizes = {popcount(f) for f in self.facets}
+        sizes = {f.bit_count() for f in self.facets}
         return len(sizes) == 1
 
     def is_face(self, mask: int) -> bool:
@@ -158,7 +168,7 @@ class SimplicialComplex:
             raise DegenerateComplexError("empty complex has no f-vector")
         counts = [0] * (self.dim + 1)
         for face in self.faces():
-            k = popcount(face)
+            k = face.bit_count()
             if k:
                 counts[k - 1] += 1
         return tuple(counts)
@@ -208,11 +218,11 @@ class SimplicialComplex:
                 sub &= sub - 1
             if minimal:
                 out.append(s)
-        out.sort(key=lambda x: (popcount(x), x))
+        out.sort(key=lambda x: (x.bit_count(), x))
         return out
 
     def is_flag(self) -> bool:
-        return all(popcount(s) <= 2 for s in self.minimal_non_faces())
+        return all(s.bit_count() <= 2 for s in self.minimal_non_faces())
 
     # -- derived complexes ----------------------------------------------
 
@@ -249,20 +259,7 @@ class SimplicialComplex:
 
     def is_pseudomanifold(self) -> bool:
         """Pure and every codimension-1 face lies in exactly two facets."""
-        if not self.is_pure():
-            return False
-        n = self.dim + 1
-        if n < 1:
-            return False
-        ridge_count: dict[int, int] = {}
-        for f in self.facets:
-            rest = f
-            while rest:
-                low = rest & -rest
-                r = f & ~low
-                ridge_count[r] = ridge_count.get(r, 0) + 1
-                rest &= rest - 1
-        return all(c == 2 for c in ridge_count.values())
+        return self.is_pure() and self.dim >= 0 and ridges_in_two(self.facets)
 
     # -- serialization ---------------------------------------------------
 

@@ -9,9 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .complexes import SimplicialComplex, popcount, vertices_of
+from .complexes import SimplicialComplex, vertices_of
 from .bier import BierSphere, bier_sphere, side_label
-from .building import BuildingSetError, det_int, element_label
+from .building import BuildingSetError, element_label
 
 
 @dataclass(frozen=True)
@@ -37,10 +37,10 @@ class CharMatrix:
     def on(self, labels) -> "CharMatrix":
         """The columns with the given labels, in that order: the matrix
         laid out on a complex whose vertex positions carry those labels."""
-        try:
-            cols = [self.labels.index(lab) for lab in labels]
-        except ValueError as exc:
-            raise ValueError(f"matrix columns do not match facet labels: {exc}") from exc
+        missing = [lab for lab in labels if lab not in self.labels]
+        if missing:
+            raise ValueError(f"matrix columns do not match facet labels: none for {missing}")
+        cols = [self.labels.index(lab) for lab in labels]
         return CharMatrix(
             entries=tuple(tuple(row[j] for j in cols) for row in self.entries),
             labels=tuple(labels),
@@ -83,6 +83,28 @@ def bier_charmap(m: int) -> CharMatrix:
     entries = tuple(tuple(col[r] for col in cols) for r in range(n))
     labels = tuple(side_label(p, m) for p in range(1, 2 * m + 1))
     return CharMatrix(entries=entries, labels=labels)
+
+
+def det_int(rows: list[list[int]]) -> int:
+    """Exact determinant by Bareiss fraction-free elimination."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def validate_charmap(
@@ -186,7 +208,7 @@ def cohomology_presentation(
     if not ok:
         raise ValueError(f"matrix is not valid for the complex (facet {bad:#x})")
     gens = tuple(f"v{i}" for i in range(1, K.m + 1))
-    mf = sorted(K.minimal_non_faces(), key=lambda s: (popcount(s), s))
+    mf = sorted(K.minimal_non_faces(), key=lambda s: (s.bit_count(), s))
     monomials = tuple(
         tuple(f"v{v}" for v in vertices_of(s)) for s in mf
     )

@@ -11,7 +11,7 @@ from biersphere.bier import (
     side_label,
 )
 from biersphere.classify import canonical_form, enumerate_complexes
-from biersphere.complexes import SimplicialComplex, mask_of, popcount, submasks
+from biersphere.complexes import SimplicialComplex, mask_of, submasks
 
 
 def all_faces(K):

@@ -1,7 +1,7 @@
 import hashlib
 import json
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -10,7 +10,9 @@ from biersphere.building import (
     BuildingSet,
     BuildingSetError,
     NestohedronRealization,
-    _enumerate_vertices,
+    _certified_incidence,
+    _forest_orderings,
+    _realize,
     delzant_check,
     nerve_by_truncation,
     nerve_of_realization,
@@ -21,7 +23,8 @@ from biersphere.building import (
     write_off,
 )
 from biersphere.classify import MAX_CANON_VERTICES, canonical_form
-from biersphere.toric import CharMatrix, fenn_charmap
+from biersphere.cli import main
+from biersphere.toric import CharMatrix, det_int, fenn_charmap
 from biersphere.verify import golden_polytope
 
 
@@ -42,6 +45,46 @@ def associahedron_set(n1):
 
 def json_sha256(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def brute_force_vertices(R: NestohedronRealization):
+    """Oracle: every vertex of R's H-representation, by solving each square
+    system of dim halfspaces plus the level row with Cramer's rule on det_int
+    and keeping the feasible solutions, with incidence recomputed in
+    fractions.  Returns (vertices, incidence) in R's sorted order."""
+    ambient, level, halfspaces = R.ambient, R.level, R.halfspaces
+    points = set()
+    for tight in combinations(range(len(halfspaces)), ambient - 1):
+        rows = [list(halfspaces[i].coeffs) for i in tight] + [[1] * ambient]
+        rhs = [halfspaces[i].rhs.numerator for i in tight] + [level.numerator]
+        D = det_int(rows)
+        if D == 0:
+            continue
+        N = [
+            det_int([r[:j] + [b] + r[j + 1:] for r, b in zip(rows, rhs)])
+            for j in range(ambient)
+        ]
+        if D < 0:
+            D, N = -D, [-x for x in N]
+        if all(
+            sum(c * x for c, x in zip(h.coeffs, N)) >= h.rhs.numerator * D
+            for h in halfspaces
+        ):
+            points.add(tuple(Fraction(x, D) for x in N))
+    vertices = tuple(sorted(points))
+    incidence = tuple(
+        frozenset(
+            i
+            for i, h in enumerate(halfspaces)
+            if sum(c * x for c, x in zip(h.coeffs, pt)) == h.rhs
+        )
+        for pt in vertices
+    )
+    return vertices, incidence
+
+
+def assert_matches_oracle(R: NestohedronRealization):
+    assert (R.vertices, R.incidence) == brute_force_vertices(R)
 
 
 def test_validate_accepts_good_set():
@@ -129,9 +172,65 @@ def test_truncation_single_cut():
     assert trunc.complex.f_vector() == (5, 9, 6)
 
 
+def test_orderings_match_brute_force():
+    for i in range(1, 14):
+        assert_matches_oracle(golden_polytope(i)[0])
+    for B in (permutohedron_set(4), associahedron_set(5), permutohedron_set(5)):
+        assert_matches_oracle(realize_nestohedron(B))
+
+
+def test_old_type_6_coefficients_are_refused():
+    # y_{4} = -2, y_{1,2,3} = 1, the other triples 3, y_{1,2,3,4} = -5 leave
+    # out the pairs {i,4}: some ordering point violates a halfspace
+    y = {frozenset({4}): -2, frozenset({1, 2, 3}): 1, frozenset({1, 2, 3, 4}): -5}
+    for T in ((1, 2, 4), (1, 3, 4), (2, 3, 4)):
+        y[frozenset(T)] = 3
+    with pytest.raises(AssertionError, match="violates"):
+        _realize(golden.golden_building_set(1), y, permutations(range(4)))
+
+
+def test_type_6_needs_every_ordering():
+    # the normal fan of type 6 is not the nested fan of B_1, so one ordering
+    # per B_1-forest misses vertices, and the closure check says so
+    R6, _ = realize_p6()
+    B1 = golden.golden_building_set(1)
+    y = {frozenset(T): 1 for T in [(1, 4), (2, 4), (3, 4), *combinations((1, 2, 3, 4), 3)]}
+    y.update({frozenset({4}): -2, frozenset({1, 2, 3, 4}): -2})
+    assert _realize(B1, y, permutations(range(4))) == R6
+    with pytest.raises(AssertionError, match="close up"):
+        _realize(B1, y, _forest_orderings(B1))
+
+
+def test_dependent_tight_normals_are_refused():
+    # tight on n = 2 halfspaces, but {1,2}, {3} and the level row are dependent
+    rows = [((1, 1, 0), 0), ((0, 0, 1), 0)]
+    with pytest.raises(AssertionError, match="dependent"):
+        _certified_incidence(rows, [(0, 0, 0)], 2)
+
+
+def test_sparse_building_set_on_a_wide_ground():
+    # the simplex building set has n + 1 forests whatever its ground size
+    for n1 in (12, 25):
+        B = validate_building_set([[i] for i in range(1, n1 + 1)] + [range(1, n1 + 1)], n1)
+        R = realize_nestohedron(B)
+        assert len(R.vertices) == n1
+        if n1 == 12:
+            assert_matches_oracle(R)
+
+
+def test_missing_vertex_fails_closure():
+    R = realize_nestohedron(permutohedron_set(4))
+    rows = [(h.coeffs, int(h.rhs)) for h in R.halfspaces]
+    points = [tuple(int(c) for c in v) for v in R.vertices]
+    assert len(_certified_incidence(rows, points, 3)) == 24
+    with pytest.raises(AssertionError, match="close up"):
+        _certified_incidence(rows, points[1:], 3)
+
+
 def test_two_paths_agree():
     inputs = [golden.golden_building_set(i) for i in golden.NESTOHEDRAL_INDICES]
     inputs += [permutohedron_set(4), associahedron_set(5)]
+    inputs += [permutohedron_set(6), associahedron_set(6)]
     for B in inputs:
         trunc = nerve_by_truncation(B)
         direct = nerve_of_realization(realize_nestohedron(B))
@@ -156,12 +255,6 @@ def test_realizations_pinned():
     assert json_sha256(realize_nestohedron(associahedron_set(5)).to_json_obj()) == (
         "83c3af44ad7f3d790336805496f4a224c281d8ed4c2bfac989c40600dec85e0f"
     )
-
-
-def test_enumeration_asserts_integral_h_representation():
-    R = realize_nestohedron(golden.golden_building_set(13))
-    with pytest.raises(AssertionError, match="integral"):
-        _enumerate_vertices(R.ambient, R.level + Fraction(1, 2), R.halfspaces)
 
 
 def test_nerves_match_spheres():
@@ -234,6 +327,34 @@ def test_broken_type_6_matrix_fails_its_rows(monkeypatch):
     failed = {r.name: r.computed for r in rows if not r.passed}
     assert sorted(failed) == ["Betti numbers type 6", "type 6 Delzant", "type 6 matrix columns"]
     assert "not valid for the complex" in failed["Betti numbers type 6"]
+
+
+def test_type_6_matrix_missing_a_label_fails_its_rows(monkeypatch, capsys):
+    # a matrix that cannot be laid out on the nerve fails every row that
+    # reads the polytope, with the reason, and verify-paper exits 3
+    R6, L6 = realize_p6()
+
+    def short_p6():
+        return R6, L6.on(L6.labels[:-1])
+
+    monkeypatch.setattr(verify, "realize_p6", short_p6)
+    verify.golden_polytope.cache_clear()
+    try:
+        rows = verify.check_betti() + verify.check_appendix_matrices()
+        code = main(["verify-paper"])
+    finally:
+        verify.golden_polytope.cache_clear()
+    failed = {r.name: r.computed for r in rows if not r.passed}
+    assert sorted(failed) == [
+        "Betti numbers type 6",
+        "type 6 Delzant",
+        "type 6 matrix columns",
+        "type 6 nerve",
+    ]
+    reason = f"matrix columns do not match facet labels: none for {[L6.labels[-1]]}"
+    assert set(failed.values()) == {reason}
+    assert code == 3
+    assert "FAIL type 6 nerve" in capsys.readouterr().out
 
 
 def test_off_roundtrip():

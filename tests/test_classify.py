@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from biersphere import golden
+from biersphere import golden, verify
 from biersphere.bier import bier_sphere
 from biersphere.classify import (
     bier_census,
@@ -11,6 +11,7 @@ from biersphere.classify import (
     enumerate_complexes,
     isomorphic,
 )
+from biersphere.cli import main
 from biersphere.complexes import SimplicialComplex, mask_of, vertices_of
 
 
@@ -116,3 +117,25 @@ def test_golden_sources_rebuild_their_spheres():
     for i in range(1, 14):
         K = golden.golden_source(i)
         assert bier_sphere(K).complex == golden.golden_sphere(i)
+
+
+def test_census_type_without_golden_index_fails_rows(monkeypatch, capsys):
+    # a census sphere that matches no golden table gets golden_index None:
+    # its rows read FAIL and verify-paper exits 3
+    lookup = golden.sphere_index_by_canonical_form()
+    dropped = min(golden.FLAG_INDICES)
+    monkeypatch.setattr(
+        golden,
+        "sphere_index_by_canonical_form",
+        lambda: {form: i for form, i in lookup.items() if i != dropped},
+    )
+    classify_bier.cache_clear()
+    try:
+        rows = verify.check_classification() + verify.check_mf_tables()
+        code = main(["verify-paper"])
+    finally:
+        classify_bier.cache_clear()
+    failed = [r.name for r in rows if not r.passed]
+    assert failed == ["flag types", "MF table S_None"]
+    assert code == 3
+    assert "FAIL MF table S_None" in capsys.readouterr().out

@@ -1,4 +1,5 @@
-"""Hypothesis properties of the Bier construction on random complexes."""
+"""Hypothesis properties of the Bier construction on random complexes and
+of the nestohedron realizer on random building sets."""
 
 import pytest
 
@@ -7,7 +8,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from biersphere.bier import alexander_dual, bier_sphere  # noqa: E402
+from biersphere.building import (  # noqa: E402
+    _forest_orderings,
+    realize_nestohedron,
+    validate_building_set,
+)
 from biersphere.complexes import SimplicialComplex, _antichain  # noqa: E402
+from test_building import assert_matches_oracle  # noqa: E402
 
 
 @st.composite
@@ -42,3 +49,26 @@ def test_minimal_non_faces_rebuild_the_complex(K):
 @given(non_simplex_complexes(max_m=8))
 def test_alexander_dual_is_an_involution(K):
     assert alexander_dual(alexander_dual(K)) == K
+
+
+@st.composite
+def connected_building_sets(draw):
+    """Singletons, the full set and a few random subsets of [4] or [5],
+    closed under unions of intersecting pairs."""
+    n1 = draw(st.sampled_from([4, 5]))
+    ground = frozenset(range(1, n1 + 1))
+    extra = draw(st.lists(st.frozensets(st.integers(1, n1), min_size=2, max_size=n1), max_size=5))
+    elements = {frozenset({i}) for i in ground} | {ground} | set(extra)
+    while True:
+        unions = {a | b for a in elements for b in elements if a & b} - elements
+        if not unions:
+            return validate_building_set(elements, n1)
+        elements |= unions
+
+
+@settings(deadline=None, max_examples=60)
+@given(connected_building_sets())
+def test_orderings_match_brute_force(B):
+    R = realize_nestohedron(B)
+    assert len(_forest_orderings(B)) == len(R.vertices)  # one B-forest per vertex
+    assert_matches_oracle(R)
