@@ -21,11 +21,11 @@ class FullSimplexError(ValueError):
 
 
 def alexander_dual(K: SimplicialComplex) -> SimplicialComplex:
-    """Complex on a fresh copy of [m] whose facets are complements of MF(K)."""
+    """Complex on a fresh copy of [m] whose facets are the complements of the antichain MF(K)."""
     if K.is_full_simplex:
         raise FullSimplexError("Alexander dual undefined for the full simplex")
     full = (1 << K.m) - 1
-    return SimplicialComplex(K.m, _antichain(full & ~s for s in K.minimal_non_faces()))
+    return SimplicialComplex(K.m, frozenset(full & ~s for s in K.minimal_non_faces()))
 
 
 def deleted_join(K1: SimplicialComplex, K2: SimplicialComplex) -> SimplicialComplex:

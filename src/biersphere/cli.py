@@ -21,7 +21,7 @@ from .building import (
     write_off,
 )
 from .classify import MAX_CENSUS_M, classify_bier
-from .complexes import SimplicialComplex, vertices_of
+from .complexes import MAX_GROUND, SimplicialComplex, vertices_of
 from .toric import (
     CharMatrix,
     buchstaber_certificate,
@@ -68,14 +68,18 @@ def _load_matrix(path: str) -> CharMatrix:
         raise CliError(EXIT_PARSE, f"bad matrix JSON in {path}: {exc}")
 
 
-def _load_building(path: str) -> BuildingSet:
+def _load_building(path: str, nerve: bool) -> BuildingSet:
     obj = _load_json(path)
     try:
-        return BuildingSet.from_json_obj(obj)
+        B = BuildingSet.from_json_obj(obj)
     except BuildingSetError as exc:
         raise CliError(EXIT_DOMAIN, str(exc))
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(EXIT_PARSE, f"bad building set JSON in {path}: {exc}")
+    n = len(B.proper_elements())  # the facets of the nestohedron, the vertices of its nerve
+    if nerve and n > MAX_GROUND:
+        raise CliError(EXIT_DOMAIN, f"a nerve of {n} vertices exceeds the {MAX_GROUND}-label cap")
+    return B
 
 
 def _emit(obj) -> None:
@@ -107,6 +111,8 @@ def cmd_invariants(args) -> int:
     obj = _load_json(args.input)
     try:
         K = SimplicialComplex.from_json_obj(obj)
+        source_m = obj.get("source_m")
+        source_m = None if source_m is None else int(source_m)
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(EXIT_PARSE, f"bad complex JSON in {args.input}: {exc}")
     try:
@@ -115,9 +121,8 @@ def cmd_invariants(args) -> int:
     except ValueError as exc:  # DegenerateComplexError, or h of a non-pure complex
         raise CliError(EXIT_DOMAIN, str(exc))
     mf = K.minimal_non_faces()
-    source_m = obj.get("source_m")
-    if source_m is not None and 2 * int(source_m) == K.m:
-        rendered = render_mf(mf, int(source_m))
+    if source_m is not None and 2 * source_m == K.m:
+        rendered = render_mf(mf, source_m)
     else:
         rendered = [list(vertices_of(s)) for s in mf]
     _emit(
@@ -209,7 +214,7 @@ def cmd_charmap(args) -> int:
         Lambda = cert.matrix
         print(f"validation PASS, s={cert.upper_bound}", file=sys.stderr)
     else:
-        B = _load_building(args.building)
+        B = _load_building(args.building, nerve=True)
         try:
             Lambda = fenn_charmap(B)
         except BuildingSetError as exc:
@@ -224,7 +229,7 @@ def cmd_charmap(args) -> int:
 
 
 def cmd_nestohedron(args) -> int:
-    B = _load_building(args.input)
+    B = _load_building(args.input, nerve=bool(args.nerve))
     if args.off and B.n_plus_1 != 4:
         raise CliError(
             EXIT_DOMAIN, f"OFF export needs a 3-polytope (n_plus_1 = 4), got {B.n_plus_1}"

@@ -198,28 +198,28 @@ class SimplicialComplex:
         return sum((-1) ** i * fi for i, fi in enumerate(f))
 
     def minimal_non_faces(self) -> list[int]:
-        """Inclusion-minimal non-faces; [] for the full simplex.
-
-        Brute force over all subsets: s is a minimal non-face iff it is not
-        a face while every s minus one vertex is.  Ghost vertices appear as
-        singletons.
+        """Inclusion-minimal non-faces sorted by (size, mask); [] for the full
+        simplex, ghost vertices as singletons.  A non-face is a set meeting the
+        complement of every facet, so these are the minimal transversals of the
+        complements, grown one facet at a time (Berge multiplication).
         """
-        out = []
-        for s in range(1, 1 << self.m):
-            if self.is_face(s):
-                continue
-            sub = s
-            minimal = True
-            while sub:
-                low = sub & -sub
-                if not self.is_face(s & ~low):
-                    minimal = False
-                    break
-                sub &= sub - 1
-            if minimal:
-                out.append(s)
-        out.sort(key=lambda x: (x.bit_count(), x))
-        return out
+        full = (1 << self.m) - 1
+        family = [0]
+        # Complements in increasing order: those inside [j] come first, and
+        # their minimal transversals are at most as many as the final ones.
+        for f in sorted(self.facets, reverse=True):
+            comp = full & ~f
+            bits = [1 << (v - 1) for v in vertices_of(comp)]
+            kept = [t for t in family if t & comp]
+            grown = [t | b for t in family if not t & comp for b in bits]
+            # A grown t + b lies in no other (t + b in t' + b' forces t = t' in an
+            # antichain), so only kept sets are compared: those meeting comp in b.
+            near: dict[int, list[int]] = {}
+            for k in kept:
+                near.setdefault(k & comp, []).append(k)
+            family = kept + [s for s in grown if all(k & ~s for k in near.get(s & comp, ()))]
+        family.sort(key=lambda x: (x.bit_count(), x))
+        return family
 
     def is_flag(self) -> bool:
         return all(s.bit_count() <= 2 for s in self.minimal_non_faces())
@@ -234,8 +234,6 @@ class SimplicialComplex:
         """
         if sigma == 0 or not self.is_face(sigma):
             raise ValueError("sigma must be a nonempty face")
-        if self.m + 1 > MAX_GROUND:
-            raise ValueError("ground size limit exceeded")
         new_bit = 1 << self.m
         new_facets = set()
         for f in self.facets:
@@ -253,8 +251,6 @@ class SimplicialComplex:
         """Same facets on a larger ground set; the new labels are ghosts."""
         if m < self.m:
             raise ValueError("ground set can only grow")
-        if m > MAX_GROUND:
-            raise ValueError("ground size limit exceeded")
         return SimplicialComplex(m, self.facets)
 
     def is_pseudomanifold(self) -> bool:

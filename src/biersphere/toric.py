@@ -208,9 +208,8 @@ def cohomology_presentation(
     if not ok:
         raise ValueError(f"matrix is not valid for the complex (facet {bad:#x})")
     gens = tuple(f"v{i}" for i in range(1, K.m + 1))
-    mf = sorted(K.minimal_non_faces(), key=lambda s: (s.bit_count(), s))
     monomials = tuple(
-        tuple(f"v{v}" for v in vertices_of(s)) for s in mf
+        tuple(f"v{v}" for v in vertices_of(s)) for s in K.minimal_non_faces()
     )
     return CohomologyPresentation(
         generators=gens,

@@ -1,3 +1,6 @@
+import json
+import random
+
 import pytest
 
 from biersphere.bier import (
@@ -11,7 +14,8 @@ from biersphere.bier import (
     side_label,
 )
 from biersphere.classify import canonical_form, enumerate_complexes
-from biersphere.complexes import SimplicialComplex, mask_of, submasks
+from biersphere.cli import main
+from biersphere.complexes import SimplicialComplex, mask_of, submasks, vertices_of
 
 
 def all_faces(K):
@@ -53,6 +57,23 @@ def test_dual_involution_everywhere():
     for m in (2, 3, 4):
         for K in enumerate_complexes(m):
             assert alexander_dual(alexander_dual(K)) == K
+
+
+def test_dual_on_64_labels(capsys, tmp_path):
+    # three 32-label facets on [64]: far past any scan of the 2^64 subsets
+    rng = random.Random(64)
+    K = SimplicialComplex.from_facets(64, [rng.sample(range(1, 65), 32) for _ in range(3)])
+    mf = K.minimal_non_faces()
+    assert len(mf) > 500
+    for s in mf:
+        assert not K.is_face(s)
+        assert all(K.is_face(s & ~(1 << (v - 1))) for v in vertices_of(s))
+    dual = alexander_dual(K)
+    assert alexander_dual(dual) == K
+    path = tmp_path / "k64.json"
+    path.write_text(json.dumps(K.to_json_obj()))
+    assert main(["dual", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == dual.to_json_obj()
 
 
 def test_deleted_join_matches_oracle():

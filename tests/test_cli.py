@@ -1,5 +1,6 @@
 import hashlib
 import json
+from itertools import combinations
 
 import pytest
 
@@ -25,6 +26,14 @@ def full4(tmp_path):
 @pytest.fixture
 def b10(tmp_path):
     return write(tmp_path / "b10.json", golden.golden_building_set(10).to_json_obj())
+
+
+@pytest.fixture
+def permutohedron7(tmp_path):
+    """Every nonempty subset of [7]: 126 proper elements, so its nerve
+    would have 126 vertices."""
+    elements = [list(c) for r in range(1, 8) for c in combinations(range(1, 8), r)]
+    return write(tmp_path / "b7.json", {"n_plus_1": 7, "elements": elements})
 
 
 def sha256(path):
@@ -84,6 +93,15 @@ def test_invariants_golden_sphere(capsys, tmp_path):
     assert inv["f"] == [6, 12, 8]
 
 
+@pytest.mark.parametrize("source_m", ["x", [1]])
+def test_invariants_malformed_source_m(capsys, tmp_path, source_m):
+    path = write(tmp_path / "k.json", {"m": 4, "facets": [[1, 2], [3, 4]], "source_m": source_m})
+    code, out, err = run(capsys, "invariants", path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: bad complex JSON") and "Traceback" not in err
+
+
 def test_invariants_non_pure_is_domain_error(capsys, tmp_path):
     path = write(tmp_path / "np.json", {"m": 4, "facets": [[1, 2], [3]]})
     code, out, err = run(capsys, "invariants", path)
@@ -138,6 +156,13 @@ def test_charmap_disconnected_building(capsys, tmp_path):
     assert code == 2
 
 
+def test_charmap_building_nerve_over_the_cap(capsys, permutohedron7):
+    code, out, err = run(capsys, "charmap", "--building", permutohedron7)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "64-label cap" in err
+
+
 def test_nestohedron_outputs(capsys, b10, tmp_path):
     off = tmp_path / "p10.off"
     nerve = tmp_path / "n10.json"
@@ -164,6 +189,19 @@ def test_nestohedron_off_needs_a_3_polytope(capsys, tmp_path):
     assert code == 2
     assert "error:" in err
     assert not off.exists() and not (tmp_path / "p5.off.json").exists()
+
+
+def test_nestohedron_nerve_over_the_cap(capsys, permutohedron7, tmp_path):
+    nerve = tmp_path / "n7.json"
+    code, out, err = run(capsys, "nestohedron", permutohedron7, "--nerve", str(nerve))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "64-label cap" in err
+    assert not nerve.exists()
+    # without a nerve the polytope itself is still realized
+    code, out, _ = run(capsys, "nestohedron", permutohedron7)
+    assert code == 0
+    assert "5040 vertices, 126 facets" in out
 
 
 def test_orientable_command(capsys, tmp_path):

@@ -3,6 +3,8 @@ from itertools import combinations
 
 import pytest
 
+from biersphere import golden
+from biersphere.classify import bier_census
 from biersphere.complexes import (
     DegenerateComplexError,
     SimplicialComplex,
@@ -17,6 +19,27 @@ def faces_brute(facets, m):
     for f in facets:
         for s in submasks(f):
             out.add(s)
+    return out
+
+
+def brute_force_minimal_non_faces(K):
+    """Scan of all 2^m subsets: s is a minimal non-face iff it is not a face
+    while every s minus one vertex is; sorted by (size, mask)."""
+    out = []
+    for s in range(1, 1 << K.m):
+        if K.is_face(s):
+            continue
+        sub = s
+        minimal = True
+        while sub:
+            low = sub & -sub
+            if not K.is_face(s & ~low):
+                minimal = False
+                break
+            sub &= sub - 1
+        if minimal:
+            out.append(s)
+    out.sort(key=lambda x: (x.bit_count(), x))
     return out
 
 
@@ -85,6 +108,24 @@ def test_minimal_non_faces_definition():
         )
         assert (s in mf) == minimal
 
+    cases = [K]
+    for m in (2, 3, 4):
+        for source, sphere in bier_census(m):
+            cases += [source, sphere]
+    cases += [golden.golden_sphere(i) for i in range(1, 14)]
+    cases += [
+        SimplicialComplex.simplex(5),
+        SimplicialComplex.empty(5),
+        # ghost vertices
+        SimplicialComplex.from_facets(6, [[1, 2], [2, 3]]),
+        SimplicialComplex.simplex_boundary(3).with_ground(6),
+        SimplicialComplex.from_facets(7, [[1, 2, 3], [3, 4, 5], [1, 5]]),
+    ]
+    for C in cases:
+        assert C.minimal_non_faces() == brute_force_minimal_non_faces(C)
+    assert SimplicialComplex.simplex(5).minimal_non_faces() == []
+    assert SimplicialComplex.empty(5).minimal_non_faces() == [1 << i for i in range(5)]
+
 
 def test_flag_detection():
     square = SimplicialComplex.from_facets(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
@@ -123,6 +164,8 @@ def test_with_ground_adds_ghosts():
     assert big.f_vector() == K.f_vector()
     with pytest.raises(ValueError):
         big.with_ground(3)
+    with pytest.raises(ValueError):
+        big.with_ground(65)
 
 
 def test_json_roundtrip():

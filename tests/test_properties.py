@@ -15,6 +15,7 @@ from biersphere.building import (  # noqa: E402
 )
 from biersphere.complexes import SimplicialComplex, _antichain  # noqa: E402
 from test_building import assert_matches_oracle  # noqa: E402
+from test_complexes import brute_force_minimal_non_faces  # noqa: E402
 
 
 @st.composite
@@ -43,6 +44,7 @@ def test_minimal_non_faces_rebuild_the_complex(K):
     mnf = K.minimal_non_faces()
     faces = [s for s in range(1 << K.m) if not any(s & n == n for n in mnf)]
     assert SimplicialComplex(K.m, _antichain(faces)) == K
+    assert mnf == brute_force_minimal_non_faces(K)
 
 
 @settings(deadline=None, max_examples=150)
