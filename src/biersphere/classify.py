@@ -5,6 +5,17 @@ partitioned by structural signatures, each non-singleton cell is branched on,
 and the lexicographically least facet encoding over all discrete leaves is
 the canonical form.  Ghost vertices are interchangeable; only their count
 enters the form.
+
+The search skips subtrees that an automorphism maps onto explored ones
+(orbit pruning; McKay & Piperno, "Practical graph isomorphism II", 2014).  A
+leaf whose encoding equals the first or the best leaf's gives an automorphism
+g = lab_b^-1 . lab_a of K, which is kept.  At a node with individualised path
+P, a child v is skipped when the kept automorphisms that fix P pointwise
+carry an explored sibling w to v.  Such a g fixes P and preserves K, and the
+refinement commutes with relabelling, so the subtree under P+v is the g-image
+of the subtree under P+w, with the same encodings.  The least encoding, and
+the first leaf in search order that attains it, are therefore those of the
+unpruned search.
 """
 
 from __future__ import annotations
@@ -13,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .bier import bier_sphere, render_mf
-from .complexes import SimplicialComplex, mask_of, vertices_of
+from .complexes import SimplicialComplex, vertices_of
 
 MAX_CANON_VERTICES = 10
 MAX_CENSUS_M = 5  # largest ground set of the census, classification and checks
@@ -26,73 +37,130 @@ class CanonicalForm:
     facets: tuple[tuple[int, ...], ...]
 
 
-def _refine(facet_sets: list[tuple[int, ...]], colors: dict[int, tuple]) -> dict[int, tuple]:
+def _refine(
+    facets: list[tuple[int, ...]], incident: list[list[int]], colors: list[int], count: int
+) -> tuple[list[int], int]:
     """Iterate vertex colouring by the multiset of coloured facet views.
 
-    Each new colour extends the old one, so the partition only refines: it
-    is stable once the number of colour classes stops growing.
+    Colours are ranks 0..count-1.  A vertex's signature is its colour and the
+    sorted views of its facets, a view being the facet's sorted colours with
+    one copy of the vertex's own removed; the new colours rank the distinct
+    signatures in sorted order.  Each signature extends the old colour, so the
+    partition only refines and keeps its order (a singleton cell needs no
+    views): it is stable once the number of colour classes stops growing.
     """
-    count = len(set(colors.values()))
-    while True:
-        new = {}
-        for v in colors:
-            views = sorted(
-                tuple(sorted(colors[u] for u in f if u != v))
-                for f in facet_sets
-                if v in f
-            )
-            new[v] = (colors[v], tuple(views))
-        # compression keeps the partition: it ranks colours in order
-        colors = _compress(new)
-        new_count = len(set(colors.values()))
-        if new_count == count:
-            return colors
-        count = new_count
+    n = len(colors)
+    while count < n:  # a discrete partition is stable
+        cells: list[list[int]] = [[] for _ in range(count)]
+        for v, c in enumerate(colors):
+            cells[c].append(v)
+        sorted_facets = [tuple(sorted(map(colors.__getitem__, f))) for f in facets]
+        refined = [0] * n
+        rank = 0
+        for c, cell in enumerate(cells):
+            if len(cell) == 1:
+                refined[cell[0]] = rank
+                rank += 1
+                continue
+            signatures = []
+            for v in cell:
+                views = []
+                for i in incident[v]:
+                    s = sorted_facets[i]
+                    k = s.index(c)
+                    views.append(s[:k] + s[k + 1 :])
+                views.sort()
+                signatures.append(tuple(views))
+            ranked = {sig: rank + r for r, sig in enumerate(sorted(set(signatures)))}
+            for v, sig in zip(cell, signatures):
+                refined[v] = ranked[sig]
+            rank += len(ranked)
+        colors = refined
+        if rank == count:
+            break
+        count = rank
+    return colors, count
 
 
-def _partition(colors: dict[int, tuple]) -> tuple[tuple[int, ...], ...]:
-    cells: dict[tuple, list[int]] = {}
-    for v, c in colors.items():
-        cells.setdefault(c, []).append(v)
-    return tuple(tuple(sorted(cells[c])) for c in sorted(cells))
+def _orbits(n: int, generators: list[list[int]]) -> list[int]:
+    """Root of each point's orbit under the group the permutations generate."""
+    parent = list(range(n))
 
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-def _compress(colors: dict[int, tuple]) -> dict[int, tuple]:
-    ranked = {c: (i,) for i, c in enumerate(sorted(set(colors.values())))}
-    return {v: ranked[c] for v, c in colors.items()}
+    for g in generators:
+        for x, y in enumerate(g):
+            rx, ry = find(x), find(y)
+            if rx != ry:
+                parent[max(rx, ry)] = min(rx, ry)
+    return [find(x) for x in range(n)]
 
 
 def _canonical_search(K: SimplicialComplex):
     """Return (canonical facet encoding, labeling old->new) for non-ghosts."""
     verts = list(vertices_of(K.vertex_mask()))
-    if len(verts) > MAX_CANON_VERTICES:
-        raise ValueError(f"too many non-ghost vertices ({len(verts)} > {MAX_CANON_VERTICES})")
+    n = len(verts)
+    if n > MAX_CANON_VERTICES:
+        raise ValueError(f"too many non-ghost vertices ({n} > {MAX_CANON_VERTICES})")
     if not verts:
         return (), {}
-    facet_sets = [vertices_of(f) for f in sorted(K.facets)]
-    init = {v: (0,) for v in verts}
-    best: list = [None, None]  # encoding, labeling
+    index = {v: i for i, v in enumerate(verts)}
+    facets = [tuple(index[u] for u in vertices_of(f)) for f in sorted(K.facets)]
+    incident: list[list[int]] = [[] for _ in verts]
+    for i, f in enumerate(facets):
+        for u in f:
+            incident[u].append(i)
+    first = best = None  # (encoding, labeling as a list over vertex indices)
+    automorphisms: list[list[int]] = []
 
-    def encode(labeling: dict[int, int]):
-        return tuple(sorted(tuple(sorted(labeling[u] for u in f)) for f in facet_sets))
-
-    def descend(colors: dict[int, tuple]):
-        cells = _partition(colors)
-        target = next((c for c in cells if len(c) > 1), None)
-        if target is None:
-            order = sorted(verts, key=lambda v: colors[v])
-            labeling = {v: i + 1 for i, v in enumerate(order)}
-            enc = encode(labeling)
-            if best[0] is None or enc < best[0]:
-                best[0], best[1] = enc, labeling
+    def leaf(colors: list[int]):
+        nonlocal first, best
+        labeling = [c + 1 for c in colors]
+        enc = tuple(sorted(tuple(sorted(map(labeling.__getitem__, f))) for f in facets))
+        if first is None:
+            first = best = (enc, labeling)
             return
-        for v in target:
-            branched = dict(colors)
-            branched[v] = branched[v] + (-1,)
-            descend(_refine(facet_sets, _compress(branched)))
+        for known_enc, known in (first, best):
+            if enc == known_enc:
+                # known^-1 . labeling maps K onto itself
+                inverse = [0] * n
+                for v, label in enumerate(known):
+                    inverse[label - 1] = v
+                automorphisms.append([inverse[label - 1] for label in labeling])
+                return
+        if enc < best[0]:
+            best = (enc, labeling)
 
-    descend(_refine(facet_sets, init))
-    return best[0], best[1]
+    def descend(colors: list[int], count: int, path: tuple[int, ...]):
+        if count == n:
+            leaf(colors)
+            return
+        sizes = [0] * count
+        for c in colors:
+            sizes[c] += 1
+        target = next(c for c, size in enumerate(sizes) if size > 1)
+        explored: list[int] = []
+        seen, orbit = 0, None
+        for v in (u for u in range(n) if colors[u] == target):
+            if explored and seen != len(automorphisms):
+                seen = len(automorphisms)
+                fixing = [g for g in automorphisms if all(g[p] == p for p in path)]
+                orbit = _orbits(n, fixing)
+            if orbit is not None and orbit[v] in {orbit[w] for w in explored}:
+                continue
+            explored.append(v)
+            # v ranks just after its cell-mates
+            branched = [c + 1 if c > target else c for c in colors]
+            branched[v] = target + 1
+            descend(*_refine(facets, incident, branched, count + 1), path + (v,))
+
+    descend(*_refine(facets, incident, [0] * n, 1), ())
+    enc, labeling = best
+    return enc, {v: labeling[i] for i, v in enumerate(verts)}
 
 
 def _form(K: SimplicialComplex, enc) -> CanonicalForm:

@@ -64,13 +64,19 @@ def ridges_in_two(facets) -> bool:
 
 
 def _antichain(masks) -> frozenset[int]:
-    """Inclusion-maximal elements of a family of masks; {0} if family empty."""
-    masks = set(masks)
-    maximal = {
-        f for f in masks
-        if not any(f != g and f & ~g == 0 for g in masks)
-    }
-    return frozenset(maximal) if maximal else frozenset({0})
+    """Inclusion-maximal elements of a family of masks; {0} if family empty.
+
+    Masks are taken by decreasing size and each is compared only with the
+    kept masks of larger size: a mask with a strict superset in the family
+    has a maximal one, which is larger and so already kept.
+    """
+    by_size: dict[int, list[int]] = {}
+    for f in set(masks):
+        by_size.setdefault(f.bit_count(), []).append(f)
+    kept: list[int] = []
+    for size in sorted(by_size, reverse=True):
+        kept += [f for f in by_size[size] if all(f | g != g for g in kept)]
+    return frozenset(kept) if kept else frozenset({0})
 
 
 @dataclass(frozen=True)

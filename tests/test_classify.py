@@ -1,10 +1,13 @@
 import random
+from itertools import combinations
 
 import pytest
 
-from biersphere import golden, verify
+from biersphere import classify, golden, verify
 from biersphere.bier import bier_sphere
 from biersphere.classify import (
+    MAX_CANON_VERTICES,
+    _canonical_search,
     bier_census,
     canonical_form,
     classify_bier,
@@ -12,13 +15,168 @@ from biersphere.classify import (
     isomorphic,
 )
 from biersphere.cli import main
-from biersphere.complexes import SimplicialComplex, mask_of, vertices_of
+from biersphere.complexes import SimplicialComplex, _antichain, mask_of, vertices_of
 
 
 def relabel(K, perm):
     """perm is a dict on 1..m."""
     facets = [mask_of(perm[v] for v in vertices_of(f)) for f in K.facets]
     return SimplicialComplex(K.m, frozenset(facets) or frozenset({0}))
+
+
+def brute_force_canonical_search(K):
+    """The unpruned search on nested-tuple colours: every child of every
+    node is explored, so its cost grows factorially with the symmetry.
+
+    Returns (least facet encoding over all leaves, labeling of the first
+    leaf that attains it).
+    """
+    verts = list(vertices_of(K.vertex_mask()))
+    if not verts:
+        return (), {}
+    facet_sets = [vertices_of(f) for f in sorted(K.facets)]
+
+    def compress(colors):
+        ranked = {c: (i,) for i, c in enumerate(sorted(set(colors.values())))}
+        return {v: ranked[c] for v, c in colors.items()}
+
+    def refine(colors):
+        count = len(set(colors.values()))
+        while True:
+            new = {}
+            for v in colors:
+                views = sorted(
+                    tuple(sorted(colors[u] for u in f if u != v)) for f in facet_sets if v in f
+                )
+                new[v] = (colors[v], tuple(views))
+            colors = compress(new)
+            new_count = len(set(colors.values()))
+            if new_count == count:
+                return colors
+            count = new_count
+
+    best: list = [None, None]
+
+    def descend(colors):
+        cells: dict[tuple, list[int]] = {}
+        for v, c in colors.items():
+            cells.setdefault(c, []).append(v)
+        target = next((sorted(cells[c]) for c in sorted(cells) if len(cells[c]) > 1), None)
+        if target is None:
+            order = sorted(verts, key=lambda v: colors[v])
+            labeling = {v: i + 1 for i, v in enumerate(order)}
+            enc = tuple(sorted(tuple(sorted(labeling[u] for u in f)) for f in facet_sets))
+            if best[0] is None or enc < best[0]:
+                best[0], best[1] = enc, labeling
+            return
+        for v in target:
+            branched = dict(colors)
+            branched[v] = branched[v] + (-1,)  # just after its cell-mates
+            descend(refine(compress(branched)))
+
+    descend(refine({v: (0,) for v in verts}))
+    return best[0], best[1]
+
+
+def test_pruned_search_matches_brute_force():
+    # every census complex and its Bier sphere for m = 2..4, and the golden spheres
+    complexes = [K for m in range(2, 5) for pair in bier_census(m) for K in pair]
+    complexes += [golden.golden_sphere(i) for i in range(1, 14)]
+    for K in complexes:
+        assert _canonical_search(K)[0] == brute_force_canonical_search(K)[0]
+
+
+def test_pruned_search_matches_brute_force_on_unions_of_cycles():
+    # refinement cannot split a regular graph, so each search branches on
+    # every vertex at the root, and a wrongly skipped sibling shows
+    rng = random.Random(17)
+    for lengths in ([3, 3], [3, 4], [3, 5], [4, 4]):
+        facets, start = [], 1
+        for n in lengths:
+            cycle = list(range(start, start + n))
+            facets += [[cycle[i], cycle[(i + 1) % n]] for i in range(n)]
+            start += n
+        K = SimplicialComplex.from_facets(start - 1, facets)
+        form = canonical_form(K)
+        for _ in range(5):
+            p = rng.sample(range(1, start), start - 1)
+            L = relabel(K, {i + 1: p[i] for i in range(start - 1)})
+            assert _canonical_search(L)[0] == brute_force_canonical_search(L)[0]
+            assert canonical_form(L) == form
+
+
+def incidence_graph(nx, K):
+    """Vertices 1..m and facets as nodes, each marked with its side."""
+    G = nx.Graph()
+    G.add_nodes_from((("v", v) for v in range(1, K.m + 1)), side="vertex")
+    for f in K.facets:
+        G.add_node(("f", f), side="facet")
+        G.add_edges_from((("v", v), ("f", f)) for v in vertices_of(f))
+    return G
+
+
+def random_complex(rng, m):
+    """Up to five random proper faces on [m], reduced to their maximal ones."""
+    full = (1 << m) - 1
+    return SimplicialComplex(m, _antichain(rng.randrange(full) for _ in range(rng.randint(1, 5))))
+
+
+def test_forms_agree_with_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(5)
+    same_side = nx.algorithms.isomorphism.categorical_node_match("side", None)
+    agreed = {True: 0, False: 0}
+    for _ in range(300):
+        m = rng.randint(2, 7)
+        K = random_complex(rng, m)
+        if rng.random() < 0.5:
+            p = rng.sample(range(1, m + 1), m)
+            L = relabel(K, {i + 1: p[i] for i in range(m)})
+        else:
+            L = random_complex(rng, m)
+        equal = canonical_form(K) == canonical_form(L)
+        GK, GL = incidence_graph(nx, K), incidence_graph(nx, L)
+        assert equal == nx.is_isomorphic(GK, GL, node_match=same_side)
+        agreed[equal] += 1
+    assert min(agreed.values()) > 50
+
+
+def count_refinements(monkeypatch):
+    calls = [0]
+    refine = classify._refine
+
+    def counted(*args):
+        calls[0] += 1
+        return refine(*args)
+
+    monkeypatch.setattr(classify, "_refine", counted)
+    return calls
+
+
+def test_ten_vertex_cap_holds_for_full_symmetry(monkeypatch):
+    # each complex has the whole symmetric group on [10]: unpruned, the search
+    # would refine about 10 M times; the bound counts work, not seconds
+    n = MAX_CANON_VERTICES
+    calls = count_refinements(monkeypatch)
+    for K in (
+        SimplicialComplex.simplex_boundary(n),
+        SimplicialComplex.from_facets(n, combinations(range(1, n + 1), 5)),
+        SimplicialComplex.from_facets(n, [[v] for v in range(1, n + 1)]),
+    ):
+        calls[0] = 0
+        form = canonical_form(K)
+        assert form.facets == tuple(sorted(vertices_of(f) for f in K.facets))
+        assert calls[0] <= n**3
+
+
+def test_ten_vertex_witness_of_a_rigid_complex():
+    # the only automorphism is the identity, so the witness is the relabeling
+    K = SimplicialComplex.from_facets(
+        10, [[1, 2, 3, 4], [4, 5, 6], [6, 7], [7, 8], [8, 9, 10], [2, 5], [3, 9]]
+    )
+    p = random.Random(13).sample(range(1, 11), 10)
+    perm = {i + 1: p[i] for i in range(10)}
+    assert isomorphic(K, relabel(K, perm)) == perm
 
 
 def test_canonical_form_is_relabeling_invariant():

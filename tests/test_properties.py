@@ -1,5 +1,6 @@
-"""Hypothesis properties of the Bier construction on random complexes and
-of the nestohedron realizer on random building sets."""
+"""Hypothesis properties of the Bier construction, the maximality filter and
+the canonical search on random complexes, and of the nestohedron realizer on
+random building sets."""
 
 import pytest
 
@@ -13,8 +14,10 @@ from biersphere.building import (  # noqa: E402
     realize_nestohedron,
     validate_building_set,
 )
+from biersphere.classify import _canonical_search  # noqa: E402
 from biersphere.complexes import SimplicialComplex, _antichain  # noqa: E402
 from test_building import assert_matches_oracle  # noqa: E402
+from test_classify import brute_force_canonical_search  # noqa: E402
 from test_complexes import brute_force_minimal_non_faces  # noqa: E402
 
 
@@ -51,6 +54,25 @@ def test_minimal_non_faces_rebuild_the_complex(K):
 @given(non_simplex_complexes(max_m=8))
 def test_alexander_dual_is_an_involution(K):
     assert alexander_dual(alexander_dual(K)) == K
+
+
+def quadratic_antichain(masks):
+    """Every mask against every other: the maximal ones, or {0}."""
+    masks = set(masks)
+    maximal = {f for f in masks if not any(f != g and f & ~g == 0 for g in masks)}
+    return frozenset(maximal) if maximal else frozenset({0})
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.integers(0, (1 << 8) - 1), max_size=40))
+def test_antichain_matches_quadratic_filter(masks):
+    assert _antichain(masks) == quadratic_antichain(masks)
+
+
+@settings(deadline=None, max_examples=150)
+@given(non_simplex_complexes(max_m=7))
+def test_canonical_search_matches_brute_force(K):
+    assert _canonical_search(K)[0] == brute_force_canonical_search(K)[0]
 
 
 @st.composite
