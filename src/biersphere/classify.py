@@ -16,6 +16,16 @@ refinement commutes with relabelling, so the subtree under P+v is the g-image
 of the subtree under P+w, with the same encodings.  The least encoding, and
 the first leaf in search order that attains it, are therefore those of the
 unpruned search.
+
+Twins, vertices v and w whose transposition t = (v w) maps K onto itself,
+are such automorphisms known before any leaf; they form classes, found once
+per search.  A sibling v that is a twin of an explored w is skipped: both lie
+in a non-singleton cell, so neither is on P, t fixes P pointwise, and the
+argument above applies.  Refinement stops without a confirming round once
+every non-singleton cell is one twin class: t preserves K and a colouring
+that gives v and w one colour, and refinement commutes with relabelling, so
+the next round gives v and w one colour again, no cell splits and no rank
+moves.
 """
 
 from __future__ import annotations
@@ -38,7 +48,11 @@ class CanonicalForm:
 
 
 def _refine(
-    facets: list[tuple[int, ...]], incident: list[list[int]], colors: list[int], count: int
+    facets: list[tuple[int, ...]],
+    incident: list[list[int]],
+    twin: list[int],
+    colors: list[int],
+    count: int,
 ) -> tuple[list[int], int]:
     """Iterate vertex colouring by the multiset of coloured facet views.
 
@@ -47,15 +61,17 @@ def _refine(
     one copy of the vertex's own removed; the new colours rank the distinct
     signatures in sorted order.  Each signature extends the old colour, so the
     partition only refines and keeps its order (a singleton cell needs no
-    views): it is stable once the number of colour classes stops growing.
+    views): it is stable once the number of colour classes stops growing, or
+    as soon as each cell lies in one twin class (``twin[v]`` names v's class).
     """
-    n = len(colors)
-    while count < n:  # a discrete partition is stable
+    # a cell of twins cannot split, so such a partition (a discrete one too)
+    # needs no confirming round
+    while len(set(zip(colors, twin))) > count:
         cells: list[list[int]] = [[] for _ in range(count)]
         for v, c in enumerate(colors):
             cells[c].append(v)
         sorted_facets = [tuple(sorted(map(colors.__getitem__, f))) for f in facets]
-        refined = [0] * n
+        refined = [0] * len(colors)
         rank = 0
         for c, cell in enumerate(cells):
             if len(cell) == 1:
@@ -114,6 +130,26 @@ def _canonical_search(K: SimplicialComplex):
     for i, f in enumerate(facets):
         for u in f:
             incident[u].append(i)
+    # the root colours rank the sorted sizes of each vertex's facets, as one
+    # round from the uniform colouring would
+    facet_sizes = [tuple(sorted(len(facets[i]) for i in incident[v])) for v in range(n)]
+    ranked = {s: r for r, s in enumerate(sorted(set(facet_sizes)))}
+    root = [ranked[s] for s in facet_sizes]
+    # v and w are twins when swapping them maps K onto itself; twins share a
+    # root colour, and the relation is an equivalence, so each class is named
+    # by its least vertex
+    masks = {sum(1 << u for u in f) for f in facets}
+    twin = list(range(n))
+    for w in range(n):
+        for v in range(w):
+            pair = 1 << v | 1 << w
+            if (
+                twin[v] == v
+                and root[v] == root[w]
+                and all(f ^ pair in masks for f in masks if f & pair not in (0, pair))
+            ):
+                twin[w] = v
+                break
     first = best = None  # (encoding, labeling as a list over vertex indices)
     automorphisms: list[list[int]] = []
 
@@ -146,6 +182,8 @@ def _canonical_search(K: SimplicialComplex):
         explored: list[int] = []
         seen, orbit = 0, None
         for v in (u for u in range(n) if colors[u] == target):
+            if any(twin[w] == twin[v] for w in explored):
+                continue
             if explored and seen != len(automorphisms):
                 seen = len(automorphisms)
                 fixing = [g for g in automorphisms if all(g[p] == p for p in path)]
@@ -156,9 +194,9 @@ def _canonical_search(K: SimplicialComplex):
             # v ranks just after its cell-mates
             branched = [c + 1 if c > target else c for c in colors]
             branched[v] = target + 1
-            descend(*_refine(facets, incident, branched, count + 1), path + (v,))
+            descend(*_refine(facets, incident, twin, branched, count + 1), path + (v,))
 
-    descend(*_refine(facets, incident, [0] * n, 1), ())
+    descend(*_refine(facets, incident, twin, root, len(ranked)), ())
     enc, labeling = best
     return enc, {v: labeling[i] for i, v in enumerate(verts)}
 
@@ -204,19 +242,22 @@ def _enumerate_cached(m: int) -> tuple[SimplicialComplex, ...]:
     if not 1 <= m <= MAX_CENSUS_M:
         raise ValueError(f"enumeration supported for 1 <= m <= {MAX_CENSUS_M}")
     full = (1 << m) - 1
-    subsets = list(range(1, 1 << m))
+    # bit t of comparable[s] is set when t is contained in s or contains it
+    comparable = [
+        sum(1 << t for t in range(1, full + 1) if s & ~t == 0 or t & ~s == 0)
+        for s in range(full + 1)
+    ]
     antichains: list[tuple[int, ...]] = [()]
 
-    def extend(chosen: tuple[int, ...], start: int):
-        for idx in range(start, len(subsets)):
-            s = subsets[idx]
-            if any(s & ~c == 0 or c & ~s == 0 for c in chosen):
+    def extend(chosen: tuple[int, ...], start: int, blocked: int):
+        for s in range(start, full + 1):
+            if blocked >> s & 1:
                 continue
             nxt = chosen + (s,)
             antichains.append(nxt)
-            extend(nxt, idx + 1)
+            extend(nxt, s + 1, blocked | comparable[s])
 
-    extend((), 0)
+    extend((), 1, 0)
     seen: dict[CanonicalForm, SimplicialComplex] = {}
     for chain in antichains:
         if chain == (full,):

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -83,7 +83,7 @@ def test_pruned_search_matches_brute_force():
     complexes = [K for m in range(2, 5) for pair in bier_census(m) for K in pair]
     complexes += [golden.golden_sphere(i) for i in range(1, 14)]
     for K in complexes:
-        assert _canonical_search(K)[0] == brute_force_canonical_search(K)[0]
+        assert _canonical_search(K) == brute_force_canonical_search(K)
 
 
 def test_pruned_search_matches_brute_force_on_unions_of_cycles():
@@ -101,8 +101,55 @@ def test_pruned_search_matches_brute_force_on_unions_of_cycles():
         for _ in range(5):
             p = rng.sample(range(1, start), start - 1)
             L = relabel(K, {i + 1: p[i] for i in range(start - 1)})
-            assert _canonical_search(L)[0] == brute_force_canonical_search(L)[0]
+            assert _canonical_search(L) == brute_force_canonical_search(L)
             assert canonical_form(L) == form
+
+
+def join_of_skeleta(*parts):
+    """The join of the j-subsets of k vertices, for each (k, j) in parts, on
+    consecutive labels: (k, k - 1) is the boundary of a simplex, (k, 1) a set
+    of k points."""
+    pieces, start = [], 1
+    for k, j in parts:
+        pieces.append([list(c) for c in combinations(range(start, start + k), j)])
+        start += k
+    return SimplicialComplex.from_facets(start - 1, [sum(fs, []) for fs in product(*pieces)])
+
+
+def blow_up(K, sizes):
+    """Replace vertex v of K by a class of sizes[v - 1] twins."""
+    start = [1]
+    for size in sizes:
+        start.append(start[-1] + size)
+    facets = [[u for v in vertices_of(f) for u in range(start[v - 1], start[v])] for f in K.facets]
+    return SimplicialComplex.from_facets(start[-1] - 1, facets)
+
+
+def test_pruned_search_matches_brute_force_on_twins():
+    # twin classes are pruned without a leaf and end refinement early, so
+    # complexes made of them check both shortcuts against the unpruned search
+    rng = random.Random(23)
+    complexes = [
+        join_of_skeleta(*parts).with_ground(8)
+        for parts in (
+            [(3, 2), (4, 3)],
+            [(2, 1), (2, 1), (3, 2)],
+            [(3, 1), (4, 3)],
+            [(2, 1), (2, 1), (3, 1)],
+        )
+        for _ in range(6)
+    ]
+    for m in (3, 4):
+        for K in enumerate_complexes(m):
+            for _ in range(5):
+                sizes = [3] * m  # redrawn until at most 8 vertices
+                while sum(sizes) > 8:
+                    sizes = [rng.randint(1, 3) for _ in range(m)]
+                complexes.append(blow_up(K, sizes))
+    for K in complexes:
+        p = rng.sample(range(1, K.m + 1), K.m)
+        L = relabel(K, {i + 1: p[i] for i in range(K.m)})
+        assert _canonical_search(L) == brute_force_canonical_search(L)
 
 
 def incidence_graph(nx, K):
@@ -153,20 +200,52 @@ def count_refinements(monkeypatch):
     return calls
 
 
+def fully_symmetric(n):
+    """Complexes on [n] whose automorphisms are the whole symmetric group."""
+    return (
+        SimplicialComplex.simplex_boundary(n),
+        SimplicialComplex.from_facets(n, combinations(range(1, n + 1), 5)),
+        SimplicialComplex.from_facets(n, [[v] for v in range(1, n + 1)]),
+    )
+
+
 def test_ten_vertex_cap_holds_for_full_symmetry(monkeypatch):
     # each complex has the whole symmetric group on [10]: unpruned, the search
     # would refine about 10 M times; the bound counts work, not seconds
     n = MAX_CANON_VERTICES
     calls = count_refinements(monkeypatch)
-    for K in (
-        SimplicialComplex.simplex_boundary(n),
-        SimplicialComplex.from_facets(n, combinations(range(1, n + 1), 5)),
-        SimplicialComplex.from_facets(n, [[v] for v in range(1, n + 1)]),
-    ):
+    for K in fully_symmetric(n):
         calls[0] = 0
         form = canonical_form(K)
         assert form.facets == tuple(sorted(vertices_of(f) for f in K.facets))
         assert calls[0] <= n**3
+
+
+def test_one_twin_class_is_refined_once_per_level(monkeypatch):
+    # all ten vertices are twins: the root and each individualised partition
+    # are one twin class plus singletons, so refinement stops without a round,
+    # and each node explores only its first child
+    n = MAX_CANON_VERTICES
+    calls = count_refinements(monkeypatch)
+    for K in fully_symmetric(n):
+        calls[0] = 0
+        canonical_form(K)
+        assert calls[0] <= n
+
+
+def test_census_calls_canonical_form_once_per_antichain(monkeypatch):
+    # the benchmark's traced self-test pins the same count: Dedekind's 168
+    # antichains on [4], less the simplex and {empty set} (the empty antichain
+    # already stands for that complex)
+    calls = [0]
+
+    def counted(K):
+        calls[0] += 1
+        return canonical_form(K)
+
+    monkeypatch.setattr(classify, "canonical_form", counted)
+    classify._enumerate_cached.__wrapped__(4)
+    assert calls[0] == 166
 
 
 def test_ten_vertex_witness_of_a_rigid_complex():

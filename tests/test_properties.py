@@ -72,7 +72,7 @@ def test_antichain_matches_quadratic_filter(masks):
 @settings(deadline=None, max_examples=150)
 @given(non_simplex_complexes(max_m=7))
 def test_canonical_search_matches_brute_force(K):
-    assert _canonical_search(K)[0] == brute_force_canonical_search(K)[0]
+    assert _canonical_search(K) == brute_force_canonical_search(K)
 
 
 @st.composite
