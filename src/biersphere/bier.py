@@ -8,12 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import (
-    SimplicialComplex,
-    _antichain,
-    submasks,
-    vertices_of,
-)
+from .complexes import MAX_GROUND, SimplicialComplex, submasks, vertices_of
 
 
 class FullSimplexError(ValueError):
@@ -28,24 +23,62 @@ def alexander_dual(K: SimplicialComplex) -> SimplicialComplex:
     return SimplicialComplex(K.m, frozenset(full & ~s for s in K.minimal_non_faces()))
 
 
+def _star(facets, s: int) -> int:
+    """The union of the facets that contain s: s and its link, the labels v
+    with s + v a face."""
+    union = 0
+    for f in facets:
+        if f & s == s:
+            union |= f
+    return union
+
+
+def _check_doubled_ground(m: int) -> None:
+    if 2 * m > MAX_GROUND:
+        raise ValueError(
+            f"a deleted join on 2m = {2 * m} positions exceeds the {MAX_GROUND}-label cap"
+        )
+
+
 def deleted_join(K1: SimplicialComplex, K2: SimplicialComplex) -> SimplicialComplex:
     """Deleted join on 2m positions: faces sigma ++ tau with sigma, tau disjoint.
 
     Built facet-wise: for facets f1, f2 with intersection I, the maximal
-    disjoint pairs inside f1 x f2 arise by splitting I between the two sides.
+    disjoint pairs inside f1 x f2 arise by splitting I between the two sides,
+    sigma = f1 - a and tau = f2 - (I - a) for each a inside I.  Every face
+    lies in such a candidate and the join is closed under subsets, so a
+    candidate is a facet exactly when no free label (one in neither sigma
+    nor tau) extends it: when the free labels miss both link_K1(sigma) and
+    link_K2(tau), or equally the stars, the unions of the facets through
+    sigma and tau.  Each star is one pass over one side's facets, memoised
+    per call.  Refused when 2m exceeds the label cap.
     """
     if K1.m != K2.m:
         raise ValueError("ground sizes differ")
     m = K1.m
-    cand = set()
+    _check_doubled_ground(m)
+    stars1: dict[int, int] = {}
+    stars2: dict[int, int] = {}
+    kept = set()
     for f1 in K1.facets:
         for f2 in K2.facets:
             inter = f1 & f2
             for a in submasks(inter):
                 sigma = f1 & ~a
                 tau = f2 & ~(inter & ~a)
-                cand.add(sigma | (tau << m))
-    return SimplicialComplex(2 * m, _antichain(cand))
+                free = ~(sigma | tau)
+                star1 = stars1.get(sigma)
+                if star1 is None:
+                    star1 = stars1[sigma] = _star(K1.facets, sigma)
+                if star1 & free:
+                    continue
+                star2 = stars2.get(tau)
+                if star2 is None:
+                    star2 = stars2[tau] = _star(K2.facets, tau)
+                if star2 & free:
+                    continue
+                kept.add(sigma | (tau << m))
+    return SimplicialComplex(2 * m, frozenset(kept) or frozenset({0}))
 
 
 @dataclass(frozen=True)
@@ -70,6 +103,7 @@ def bier_sphere(K: SimplicialComplex) -> BierSphere:
     """Bier(K) with the defining sphere properties verified."""
     if K.m < 2:
         raise ValueError("Bier sphere needs ground size m >= 2")
+    _check_doubled_ground(K.m)
     dual = alexander_dual(K)
     B = deleted_join(K, dual)
     m = K.m

@@ -338,7 +338,7 @@ def classify_bier(m: int) -> ClassificationReport:
                 f_vector=f,
                 h_vector=sphere.h_vector(),
                 mf_rendered=tuple(render_mf(mf, m)),
-                flag=sphere.is_flag(),
+                flag=all(s.bit_count() <= 2 for s in mf),
                 source_indices=sources,
                 golden_index=lookup.get(form),
             )

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from biersphere import bier
 from biersphere.bier import (
     FullSimplexError,
     alexander_dual,
@@ -15,7 +16,7 @@ from biersphere.bier import (
 )
 from biersphere.classify import canonical_form, enumerate_complexes
 from biersphere.cli import main
-from biersphere.complexes import SimplicialComplex, mask_of, submasks, vertices_of
+from biersphere.complexes import SimplicialComplex, _antichain, mask_of, submasks, vertices_of
 
 
 def all_faces(K):
@@ -34,6 +35,25 @@ def deleted_join_oracle(K1, K2):
                 cand.add(s | (t << m))
     maximal = {c for c in cand if not any(c != d and c & ~d == 0 for d in cand)}
     return SimplicialComplex(2 * m, frozenset(maximal) or frozenset({0}))
+
+
+def filtered_join_oracle(K1, K2):
+    """The facet-pair candidates of the join kept by the inclusion-maximality
+    filter: each candidate against every kept one of larger size."""
+    m = K1.m
+    cand = set()
+    for f1 in K1.facets:
+        for f2 in K2.facets:
+            inter = f1 & f2
+            for a in submasks(inter):
+                cand.add((f1 & ~a) | ((f2 & ~(inter & ~a)) << m))
+    return SimplicialComplex(2 * m, _antichain(cand))
+
+
+def wide_complex(m, k):
+    """Three random k-label facets on [m], drawn from a fixed seed."""
+    rng = random.Random(f"wide/{m}/{k}")
+    return SimplicialComplex.from_facets(m, [rng.sample(range(1, m + 1), k) for _ in range(3)])
 
 
 def swap_sides(S, m):
@@ -82,6 +102,50 @@ def test_deleted_join_matches_oracle():
         for K1 in reps:
             for K2 in reps:
                 assert deleted_join(K1, K2) == deleted_join_oracle(K1, K2)
+
+
+@pytest.mark.parametrize("m, k", [(10, 6), (12, 8), (14, 9)])
+def test_deleted_join_matches_filtered_oracle_on_wide_grounds(m, k):
+    K = wide_complex(m, k)
+    dual = alexander_dual(K)
+    for K1, K2 in ((K, dual), (K, K)):
+        assert deleted_join(K1, K2) == filtered_join_oracle(K1, K2)
+
+
+def test_deleted_join_work_is_one_star_pass_per_side(monkeypatch):
+    # each distinct sigma (tau) costs one pass over K1's (K2's) facets: 201,240
+    # containment tests for 9,240 candidates, where the maximality filter made
+    # 7,943,299 comparisons
+    K = wide_complex(14, 9)
+    dual = alexander_dual(K)
+    tests = [0]
+    star = bier._star
+
+    def counted(facets, s):
+        tests[0] += len(facets)
+        return star(facets, s)
+
+    monkeypatch.setattr(bier, "_star", counted)
+    J = deleted_join(K, dual)
+    assert len(J.facets) == 6680
+    assert tests[0] == 201_240
+
+
+def test_join_past_the_label_cap_is_refused_up_front(monkeypatch):
+    # three 20-label facets on [40]: Bier(K) would make 416,284,672 join
+    # candidates before the 80-position complex could be refused
+    rng = random.Random(40)
+    K = SimplicialComplex.from_facets(40, [rng.sample(range(1, 41), 20) for _ in range(3)])
+
+    def unreachable(*args):
+        raise AssertionError("built before the cap was checked")
+
+    monkeypatch.setattr(bier, "submasks", unreachable)
+    monkeypatch.setattr(bier, "alexander_dual", unreachable)
+    with pytest.raises(ValueError, match="64-label cap"):
+        deleted_join(K, K)
+    with pytest.raises(ValueError, match="64-label cap"):
+        bier_sphere(K)
 
 
 def test_deleted_join_of_point_with_itself():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from itertools import combinations
 
 import pytest
@@ -141,6 +142,27 @@ def test_charmap_bier(capsys, empty4):
     assert "PASS" in err and "s=5" in err
     obj = json.loads(out)
     assert obj["rows"] == 3 and obj["cols"] == 8
+
+
+def test_bier_past_the_label_cap_is_domain_error(capsys, tmp_path, monkeypatch):
+    # three 20-label facets on [40]: Bier(K) would make 416,284,672 join
+    # candidates before the 80-position sphere could be refused
+    from biersphere import bier
+
+    rng = random.Random(40)
+    facets = [sorted(rng.sample(range(1, 41), 20)) for _ in range(3)]
+    path = write(tmp_path / "k40.json", {"m": 40, "facets": facets})
+
+    def unreachable(*args):
+        raise AssertionError("built before the cap was checked")
+
+    monkeypatch.setattr(bier, "alexander_dual", unreachable)
+    monkeypatch.setattr(bier, "deleted_join", unreachable)
+    for argv in (("sphere", path), ("charmap", "--bier", path)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "64-label cap" in err
 
 
 def test_charmap_building(capsys, b10):

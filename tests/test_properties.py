@@ -6,9 +6,9 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from biersphere.bier import alexander_dual, bier_sphere  # noqa: E402
+from biersphere.bier import alexander_dual, bier_sphere, deleted_join  # noqa: E402
 from biersphere.building import (  # noqa: E402
     _forest_orderings,
     realize_nestohedron,
@@ -16,6 +16,7 @@ from biersphere.building import (  # noqa: E402
 )
 from biersphere.classify import _canonical_search  # noqa: E402
 from biersphere.complexes import SimplicialComplex, _antichain  # noqa: E402
+from test_bier import deleted_join_oracle  # noqa: E402
 from test_building import assert_matches_oracle  # noqa: E402
 from test_classify import brute_force_canonical_search  # noqa: E402
 from test_complexes import brute_force_minimal_non_faces  # noqa: E402
@@ -54,6 +55,30 @@ def test_minimal_non_faces_rebuild_the_complex(K):
 @given(non_simplex_complexes(max_m=8))
 def test_alexander_dual_is_an_involution(K):
     assert alexander_dual(alexander_dual(K)) == K
+
+
+@st.composite
+def complex_pairs(draw, max_m=6):
+    """Two complexes on one ground set [m], each any antichain (the void
+    complex {0} and the full simplex included), drawn independently, so the
+    second is seldom the dual of the first."""
+    m = draw(st.integers(1, max_m))
+    full = (1 << m) - 1
+    masks = st.lists(st.integers(0, full), max_size=5)
+    return tuple(SimplicialComplex(m, _antichain(draw(masks))) for _ in range(2))
+
+
+VOID3 = SimplicialComplex.empty(3)
+
+
+@settings(deadline=None, max_examples=150)
+@given(complex_pairs())
+@example((VOID3, VOID3))
+@example((VOID3, SimplicialComplex.simplex(3)))
+@example((SimplicialComplex.simplex_boundary(3), VOID3))
+def test_deleted_join_matches_face_listing_oracle(pair):
+    K1, K2 = pair
+    assert deleted_join(K1, K2) == deleted_join_oracle(K1, K2)
 
 
 def quadratic_antichain(masks):
