@@ -25,7 +25,19 @@ argument above applies.  Refinement stops without a confirming round once
 every non-singleton cell is one twin class: t preserves K and a colouring
 that gives v and w one colour, and refinement commutes with relabelling, so
 the next round gives v and w one colour again, no cell splits and no rank
-moves.
+moves.  Such a twin-class partition is a leaf in closed form.  Below it,
+each level individualises the least vertex of the first non-singleton cell,
+ranking it after its cell-mates, skips the cell-mates as its twins, and
+refines without a round, so the partition stays a twin-class one.  The
+chain reaches one leaf, which ranks each cell by decreasing vertex index,
+and that leaf is taken at once.
+
+The census searches one Bier sphere per pair of dual classes.  Bier(K^) is
+Bier(K) with the x and y sides swapped, since K^^ = K and the deleted join
+is symmetric, and relabelling [m] commutes with the dual and the join, so
+classes with isomorphic duals have isomorphic spheres.  ``classify_bier``
+finds the dual's class of each class it searches among the census forms;
+when that class comes later, it takes the searched sphere's form.
 """
 
 from __future__ import annotations
@@ -33,10 +45,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .bier import bier_sphere, render_mf
-from .complexes import SimplicialComplex, vertices_of
+from .bier import alexander_dual, bier_sphere, render_mf
+from .complexes import SimplicialComplex, h_of_f, vertices_of
 
-MAX_CANON_VERTICES = 10
+MAX_CANON_VERTICES = 12
 MAX_CENSUS_M = 5  # largest ground set of the census, classification and checks
 
 
@@ -124,12 +136,16 @@ def _canonical_search(K: SimplicialComplex):
         raise ValueError(f"too many non-ghost vertices ({n} > {MAX_CANON_VERTICES})")
     if not verts:
         return (), {}
-    index = {v: i for i, v in enumerate(verts)}
-    facets = [tuple(index[u] for u in vertices_of(f)) for f in sorted(K.facets)]
+    bits = [1 << (v - 1) for v in verts]  # the mask of vertex index i
+    # views, twin tests and leaf encodings are sorted or set-based, so the
+    # facet order does not matter
+    facets: list[tuple[int, ...]] = []
     incident: list[list[int]] = [[] for _ in verts]
-    for i, f in enumerate(facets):
-        for u in f:
-            incident[u].append(i)
+    for f in K.facets:
+        face = tuple(i for i, b in enumerate(bits) if f & b)
+        for i in face:
+            incident[i].append(len(facets))
+        facets.append(face)
     # the root colours rank the sorted sizes of each vertex's facets, as one
     # round from the uniform colouring would
     facet_sizes = [tuple(sorted(len(facets[i]) for i in incident[v])) for v in range(n)]
@@ -137,19 +153,19 @@ def _canonical_search(K: SimplicialComplex):
     root = [ranked[s] for s in facet_sizes]
     # v and w are twins when swapping them maps K onto itself; twins share a
     # root colour, and the relation is an equivalence, so each class is named
-    # by its least vertex
-    masks = {sum(1 << u for u in f) for f in facets}
+    # by its least vertex, and w is tested against the earlier class heads of
+    # its root colour only
     twin = list(range(n))
+    heads: dict[int, list[int]] = {}
     for w in range(n):
-        for v in range(w):
-            pair = 1 << v | 1 << w
-            if (
-                twin[v] == v
-                and root[v] == root[w]
-                and all(f ^ pair in masks for f in masks if f & pair not in (0, pair))
-            ):
+        same_root = heads.setdefault(root[w], [])
+        for v in same_root:
+            pair = bits[v] | bits[w]
+            if all(f ^ pair in K.facets for f in K.facets if f & pair not in (0, pair)):
                 twin[w] = v
                 break
+        else:
+            same_root.append(w)
     first = best = None  # (encoding, labeling as a list over vertex indices)
     automorphisms: list[list[int]] = []
 
@@ -172,7 +188,15 @@ def _canonical_search(K: SimplicialComplex):
             best = (enc, labeling)
 
     def descend(colors: list[int], count: int, path: tuple[int, ...]):
-        if count == n:
+        if count == n or len(set(zip(colors, twin))) == count:
+            # each cell is one twin class (or a singleton): the chain of
+            # descends below ends in the one leaf that ranks each cell by
+            # decreasing vertex index
+            if count < n:
+                order = sorted(range(n), key=lambda v: (colors[v], -v))
+                colors = [0] * n
+                for rank, v in enumerate(order):
+                    colors[v] = rank
             leaf(colors)
             return
         sizes = [0] * count
@@ -234,11 +258,12 @@ def enumerate_complexes(m: int) -> list[SimplicialComplex]:
     Generates every antichain of nonempty subsets (the empty antichain stands
     for the all-ghost complex) and dedupes by canonical form.
     """
-    return list(_enumerate_cached(m))
+    return [K for _, K in _enumerate_cached(m)]
 
 
 @lru_cache(maxsize=None)
-def _enumerate_cached(m: int) -> tuple[SimplicialComplex, ...]:
+def _enumerate_cached(m: int) -> tuple[tuple[CanonicalForm, SimplicialComplex], ...]:
+    """(form, representative) per class on [m], in increasing form order."""
     if not 1 <= m <= MAX_CENSUS_M:
         raise ValueError(f"enumeration supported for 1 <= m <= {MAX_CENSUS_M}")
     full = (1 << m) - 1
@@ -266,7 +291,7 @@ def _enumerate_cached(m: int) -> tuple[SimplicialComplex, ...]:
         form = canonical_form(K)
         if form not in seen:
             seen[form] = K
-    return tuple(seen[f] for f in sorted(seen))
+    return tuple((f, seen[f]) for f in sorted(seen))
 
 
 @lru_cache(maxsize=None)
@@ -307,16 +332,22 @@ def classify_bier(m: int) -> ClassificationReport:
 
     Classes are ordered by (f-vector descending lexicographically, number of
     minimal non-faces, canonical form); the published S_i numbering for m = 4 is
-    attached from the shipped golden tables.
+    attached from the shipped golden tables.  Dual classes share one sphere
+    search (see the module docstring).
     """
     from . import golden
 
     if not 2 <= m <= MAX_CENSUS_M:
         raise ValueError(f"classification supported for 2 <= m <= {MAX_CENSUS_M}")
     census = bier_census(m)
+    index = {form: i for i, (form, _) in enumerate(_enumerate_cached(m))}
+    shared: dict[int, CanonicalForm] = {}  # class -> the sphere form of its dual
     groups: dict[CanonicalForm, dict] = {}
-    for idx, (_, sphere) in enumerate(census):
-        form = canonical_form(sphere)
+    for idx, (K, sphere) in enumerate(census):
+        form = shared.get(idx)
+        if form is None:
+            form = canonical_form(sphere)
+            shared[index[canonical_form(alexander_dual(K))]] = form
         entry = groups.setdefault(form, {"sphere": sphere, "sources": []})
         entry["sources"].append(idx)
 
@@ -336,7 +367,7 @@ def classify_bier(m: int) -> ClassificationReport:
             BierClass(
                 representative=sphere,
                 f_vector=f,
-                h_vector=sphere.h_vector(),
+                h_vector=h_of_f(f),
                 mf_rendered=tuple(render_mf(mf, m)),
                 flag=all(s.bit_count() <= 2 for s in mf),
                 source_indices=sources,

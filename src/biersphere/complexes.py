@@ -63,6 +63,21 @@ def ridges_in_two(facets) -> bool:
     return all(c == 2 for c in ridge_count.values())
 
 
+def h_of_f(f: tuple[int, ...]) -> tuple[int, ...]:
+    """The h-vector (h_0, ..., h_n) of a pure complex with f-vector
+    (f_0, ..., f_{n-1}), exactly over the integers."""
+    n = len(f)
+    fext = (1,) + f  # f_{-1} = 1
+    h = []
+    for k in range(n + 1):
+        # coefficient of t^{n-k} in sum_i f_{i-1} (t-1)^{n-i}
+        coeff = 0
+        for i in range(k + 1):
+            coeff += fext[i] * comb(n - i, k - i) * (-1) ** (k - i)
+        h.append(coeff)
+    return tuple(h)
+
+
 def _antichain(masks) -> frozenset[int]:
     """Inclusion-maximal elements of a family of masks; {0} if family empty.
 
@@ -187,17 +202,7 @@ class SimplicialComplex:
         """
         if not self.is_pure():
             raise ValueError("h-vector requires a pure complex")
-        f = self.f_vector()
-        n = self.dim + 1
-        fext = (1,) + f  # f_{-1} = 1
-        h = []
-        for k in range(n + 1):
-            # coefficient of t^{n-k} in sum_i f_{i-1} (t-1)^{n-i}
-            coeff = 0
-            for i in range(k + 1):
-                coeff += fext[i] * comb(n - i, k - i) * (-1) ** (k - i)
-            h.append(coeff)
-        return tuple(h)
+        return h_of_f(self.f_vector())
 
     def euler_characteristic(self) -> int:
         f = self.f_vector()

@@ -162,30 +162,34 @@ def incidence_graph(nx, K):
     return G
 
 
-def random_complex(rng, m):
-    """Up to five random proper faces on [m], reduced to their maximal ones."""
+def random_complex(rng, m, faces=5):
+    """Up to ``faces`` random proper faces on [m], reduced to their maximal ones."""
     full = (1 << m) - 1
-    return SimplicialComplex(m, _antichain(rng.randrange(full) for _ in range(rng.randint(1, 5))))
+    return SimplicialComplex(
+        m, _antichain(rng.randrange(full) for _ in range(rng.randint(1, faces)))
+    )
 
 
 def test_forms_agree_with_networkx():
     nx = pytest.importorskip("networkx")
     rng = random.Random(5)
     same_side = nx.algorithms.isomorphism.categorical_node_match("side", None)
-    agreed = {True: 0, False: 0}
-    for _ in range(300):
-        m = rng.randint(2, 7)
-        K = random_complex(rng, m)
-        if rng.random() < 0.5:
-            p = rng.sample(range(1, m + 1), m)
-            L = relabel(K, {i + 1: p[i] for i in range(m)})
-        else:
-            L = random_complex(rng, m)
-        equal = canonical_form(K) == canonical_form(L)
-        GK, GL = incidence_graph(nx, K), incidence_graph(nx, L)
-        assert equal == nx.is_isomorphic(GK, GL, node_match=same_side)
-        agreed[equal] += 1
-    assert min(agreed.values()) > 50
+    # small grounds, then grounds of 11 and 12 up to the vertex cap
+    for count, low, high, faces, least in ((300, 2, 7, 5, 50), (120, 11, 12, 10, 30)):
+        agreed = {True: 0, False: 0}
+        for _ in range(count):
+            m = rng.randint(low, high)
+            K = random_complex(rng, m, faces)
+            if rng.random() < 0.5:
+                p = rng.sample(range(1, m + 1), m)
+                L = relabel(K, {i + 1: p[i] for i in range(m)})
+            else:
+                L = random_complex(rng, m, faces)
+            equal = canonical_form(K) == canonical_form(L)
+            GK, GL = incidence_graph(nx, K), incidence_graph(nx, L)
+            assert equal == nx.is_isomorphic(GK, GL, node_match=same_side)
+            agreed[equal] += 1
+        assert min(agreed.values()) > least
 
 
 def count_refinements(monkeypatch):
@@ -209,9 +213,9 @@ def fully_symmetric(n):
     )
 
 
-def test_ten_vertex_cap_holds_for_full_symmetry(monkeypatch):
-    # each complex has the whole symmetric group on [10]: unpruned, the search
-    # would refine about 10 M times; the bound counts work, not seconds
+def test_vertex_cap_holds_for_full_symmetry(monkeypatch):
+    # each complex has the whole symmetric group on [12]: unpruned, the search
+    # would refine about 12! = 479 M times; the bound counts work, not seconds
     n = MAX_CANON_VERTICES
     calls = count_refinements(monkeypatch)
     for K in fully_symmetric(n):
@@ -221,16 +225,37 @@ def test_ten_vertex_cap_holds_for_full_symmetry(monkeypatch):
         assert calls[0] <= n**3
 
 
-def test_one_twin_class_is_refined_once_per_level(monkeypatch):
-    # all ten vertices are twins: the root and each individualised partition
-    # are one twin class plus singletons, so refinement stops without a round,
-    # and each node explores only its first child
+def test_one_twin_class_is_refined_once(monkeypatch):
+    # all twelve vertices are twins: the root partition is one twin class, so
+    # refinement stops without a round and the root is a leaf in closed form
     n = MAX_CANON_VERTICES
     calls = count_refinements(monkeypatch)
     for K in fully_symmetric(n):
         calls[0] = 0
         canonical_form(K)
-        assert calls[0] <= n
+        assert calls[0] == 1
+
+
+def cross_polytope(d):
+    """The boundary of the d-dimensional cross-polytope: on [2d], one of i
+    and i + d for each i <= d."""
+    choices = product(*([i, i + d] for i in range(1, d + 1)))
+    return SimplicialComplex.from_facets(2 * d, choices)
+
+
+def test_cross_polytope_work_is_pinned(monkeypatch):
+    # twelve vertices, no twins and a vertex-transitive group of order
+    # 2^6 * 6!: only the automorphisms that leaves reveal prune the search
+    K = cross_polytope(6)
+    rng = random.Random(29)
+    calls = count_refinements(monkeypatch)
+    forms = set()
+    for _ in range(3):
+        p = rng.sample(range(1, 13), 12)
+        calls[0] = 0
+        forms.add(canonical_form(relabel(K, {i + 1: p[i] for i in range(12)})))
+        assert calls[0] == 59
+    assert len(forms) == 1
 
 
 def test_census_calls_canonical_form_once_per_antichain(monkeypatch):
@@ -246,6 +271,40 @@ def test_census_calls_canonical_form_once_per_antichain(monkeypatch):
     monkeypatch.setattr(classify, "canonical_form", counted)
     classify._enumerate_cached.__wrapped__(4)
     assert calls[0] == 166
+
+
+def test_census_searches_one_sphere_per_dual_pair(monkeypatch):
+    # Bier(K^) is Bier(K) with its sides swapped: of the 208 classes on [5],
+    # 14 are self-dual and 194 form 97 dual pairs, so 111 of the spheres (on
+    # [10]) are searched, and as many duals (on [5]) are looked up
+    bier_census(5)
+    grounds = []
+
+    def counted(K):
+        grounds.append(K.m)
+        return canonical_form(K)
+
+    monkeypatch.setattr(classify, "canonical_form", counted)
+    classify_bier.__wrapped__(5)
+    assert grounds.count(10) == 111
+    assert grounds.count(5) == 111
+    assert len(grounds) == 222
+
+
+def grouped_by_one_search_per_sphere(m):
+    """The census types as classify_bier grouped them before it shared forms
+    between dual classes: (first sphere, source indices) per canonical form
+    of every census sphere, in order of first appearance."""
+    groups = {}
+    for idx, (_, sphere) in enumerate(bier_census(m)):
+        groups.setdefault(canonical_form(sphere), (sphere, []))[1].append(idx)
+    return [(sphere, tuple(sources)) for sphere, sources in groups.values()]
+
+
+def test_classification_matches_one_search_per_sphere():
+    for m in range(2, 6):
+        got = [(c.representative, c.source_indices) for c in classify_bier(m).classes]
+        assert sorted(got, key=lambda t: t[1]) == grouped_by_one_search_per_sphere(m)
 
 
 def test_ten_vertex_witness_of_a_rigid_complex():
@@ -302,7 +361,7 @@ def test_distinct_types_are_not_isomorphic():
 
 def test_size_bound():
     with pytest.raises(ValueError):
-        canonical_form(SimplicialComplex.simplex(11))
+        canonical_form(SimplicialComplex.simplex(MAX_CANON_VERTICES + 1))
 
 
 def test_enumeration_counts():
