@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import MAX_GROUND, SimplicialComplex, submasks, vertices_of
+from .complexes import MAX_GROUND, SimplicialComplex, json_int, submasks, vertices_of
 
 
 class FullSimplexError(ValueError):
@@ -96,7 +96,7 @@ class BierSphere:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "BierSphere":
-        return cls(SimplicialComplex.from_json_obj(obj), int(obj["source_m"]))
+        return cls(SimplicialComplex.from_json_obj(obj), json_int(obj["source_m"]))
 
 
 def bier_sphere(K: SimplicialComplex) -> BierSphere:

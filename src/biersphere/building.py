@@ -21,7 +21,14 @@ from itertools import combinations, permutations
 from math import atan2
 from operator import mul
 
-from .complexes import SimplicialComplex, _antichain, mask_of, ridges_in_two, vertices_of
+from .complexes import (
+    SimplicialComplex,
+    _antichain,
+    json_int,
+    mask_of,
+    ridges_in_two,
+    vertices_of,
+)
 
 
 class BuildingSetError(ValueError):
@@ -62,7 +69,7 @@ class BuildingSet:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "BuildingSet":
         return validate_building_set(
-            [frozenset(e) for e in obj["elements"]], int(obj["n_plus_1"])
+            [frozenset(map(json_int, e)) for e in obj["elements"]], json_int(obj["n_plus_1"])
         )
 
 

@@ -30,7 +30,20 @@ each level individualises the least vertex of the first non-singleton cell,
 ranking it after its cell-mates, skips the cell-mates as its twins, and
 refines without a round, so the partition stays a twin-class one.  The
 chain reaches one leaf, which ranks each cell by decreasing vertex index,
-and that leaf is taken at once.
+and that leaf is taken at once.  When the root colouring (the ranks of the
+vertices' sorted facet sizes) already is such a partition, as for 5,094 of
+the 7,579 antichains on [5], refinement would stop on it without a round and
+the search would be that one leaf, so it is returned before the search is
+set up; one helper ranks the cells for both exits.
+
+A refinement round needs the views only to order signatures.  Every vertex of
+a cell has the cell's colour c, and every facet through it holds c; dropping
+one c is injective on sorted colour tuples that hold c, so two vertices of
+the cell have equal signatures exactly when their facets' sorted colour
+tuples are equal as multisets.  A round groups each cell by those tuples and
+forms views only when the cell splits, once per group, to rank the groups as
+their signatures rank; a cell that stays whole, as every cell does in the
+confirming round, forms none.
 
 The census searches one Bier sphere per pair of dual classes.  Bier(K^) is
 Bier(K) with the x and y sides swapped, since K^^ = K and the deleted join
@@ -75,6 +88,8 @@ def _refine(
     partition only refines and keeps its order (a singleton cell needs no
     views): it is stable once the number of colour classes stops growing, or
     as soon as each cell lies in one twin class (``twin[v]`` names v's class).
+    Views are formed only to rank the groups of a cell that splits, once per
+    group (see the module docstring).
     """
     # a cell of twins cannot split, so such a partition (a discrete one too)
     # needs no confirming round
@@ -86,23 +101,29 @@ def _refine(
         refined = [0] * len(colors)
         rank = 0
         for c, cell in enumerate(cells):
-            if len(cell) == 1:
-                refined[cell[0]] = rank
-                rank += 1
-                continue
-            signatures = []
+            if len(cell) > 1:
+                groups: dict[tuple, list[int]] = {}
+                for v in cell:
+                    key = tuple(sorted(map(sorted_facets.__getitem__, incident[v])))
+                    groups.setdefault(key, []).append(v)
+                if len(groups) > 1:
+                    signed = []
+                    for key, members in groups.items():
+                        views = []
+                        for s in key:
+                            k = s.index(c)
+                            views.append(s[:k] + s[k + 1 :])
+                        views.sort()
+                        signed.append((views, members))
+                    signed.sort()  # the views differ, so members are never compared
+                    for _, members in signed:
+                        for v in members:
+                            refined[v] = rank
+                        rank += 1
+                    continue
             for v in cell:
-                views = []
-                for i in incident[v]:
-                    s = sorted_facets[i]
-                    k = s.index(c)
-                    views.append(s[:k] + s[k + 1 :])
-                views.sort()
-                signatures.append(tuple(views))
-            ranked = {sig: rank + r for r, sig in enumerate(sorted(set(signatures)))}
-            for v, sig in zip(cell, signatures):
-                refined[v] = ranked[sig]
-            rank += len(ranked)
+                refined[v] = rank
+            rank += 1
         colors = refined
         if rank == count:
             break
@@ -128,29 +149,61 @@ def _orbits(n: int, generators: list[list[int]]) -> list[int]:
     return [find(x) for x in range(n)]
 
 
+@lru_cache(maxsize=1 << MAX_CANON_VERTICES)
+def _positions(mask: int) -> tuple[int, ...]:
+    """The indices of the set bits of an index mask, in increasing order."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _twin_leaf(colors: list[int], count: int) -> list[int]:
+    """Labels 1..n of the one leaf below a twin-class partition: cells in
+    colour order, each ranked by decreasing vertex index."""
+    n = len(colors)
+    if count == n:
+        return [c + 1 for c in colors]
+    labels = [0] * n
+    # a stable sort by colour of the vertices taken in decreasing index order
+    for rank, v in enumerate(sorted(range(n - 1, -1, -1), key=colors.__getitem__), 1):
+        labels[v] = rank
+    return labels
+
+
+def _encoding(facets: list[tuple[int, ...]], labels: list[int]) -> tuple:
+    """The sorted relabelled facets of a leaf."""
+    return tuple(sorted([tuple(sorted(map(labels.__getitem__, f))) for f in facets]))
+
+
 def _canonical_search(K: SimplicialComplex):
     """Return (canonical facet encoding, labeling old->new) for non-ghosts."""
-    verts = list(vertices_of(K.vertex_mask()))
-    n = len(verts)
+    support = K.vertex_mask()
+    n = support.bit_count()
     if n > MAX_CANON_VERTICES:
         raise ValueError(f"too many non-ghost vertices ({n} > {MAX_CANON_VERTICES})")
-    if not verts:
+    if not n:
         return (), {}
-    bits = [1 << (v - 1) for v in verts]  # the mask of vertex index i
+    # vertex index i stands for the i-th non-ghost label; when those are
+    # 1..n, each facet mask already is the mask of its vertex indices
+    masks = K.facets
+    if support == (1 << n) - 1:
+        verts = range(1, n + 1)
+    else:
+        verts = vertices_of(support)
+        bits = [1 << (v - 1) for v in verts]
+        masks = frozenset(sum(1 << i for i, b in enumerate(bits) if f & b) for f in masks)
     # views, twin tests and leaf encodings are sorted or set-based, so the
     # facet order does not matter
-    facets: list[tuple[int, ...]] = []
+    facets = list(map(_positions, masks))
     incident: list[list[int]] = [[] for _ in verts]
-    for f in K.facets:
-        face = tuple(i for i, b in enumerate(bits) if f & b)
+    for j, face in enumerate(facets):
         for i in face:
-            incident[i].append(len(facets))
-        facets.append(face)
+            incident[i].append(j)
     # the root colours rank the sorted sizes of each vertex's facets, as one
     # round from the uniform colouring would
-    facet_sizes = [tuple(sorted(len(facets[i]) for i in incident[v])) for v in range(n)]
-    ranked = {s: r for r, s in enumerate(sorted(set(facet_sizes)))}
-    root = [ranked[s] for s in facet_sizes]
+    sizes = list(map(len, facets))
+    facet_sizes = [tuple(sorted(map(sizes.__getitem__, faces))) for faces in incident]
+    distinct = sorted(set(facet_sizes))
+    root = list(map(distinct.index, facet_sizes))
+    count = len(distinct)
     # v and w are twins when swapping them maps K onto itself; twins share a
     # root colour, and the relation is an equivalence, so each class is named
     # by its least vertex, and w is tested against the earlier class heads of
@@ -160,19 +213,22 @@ def _canonical_search(K: SimplicialComplex):
     for w in range(n):
         same_root = heads.setdefault(root[w], [])
         for v in same_root:
-            pair = bits[v] | bits[w]
-            if all(f ^ pair in K.facets for f in K.facets if f & pair not in (0, pair)):
+            pair = 1 << v | 1 << w
+            if all(f ^ pair in masks for f in masks if f & pair not in (0, pair)):
                 twin[w] = v
                 break
         else:
             same_root.append(w)
+    if len(set(zip(root, twin))) == count:
+        # the root is a twin-class partition, so the search is one leaf
+        labels = _twin_leaf(root, count)
+        return _encoding(facets, labels), dict(zip(verts, labels))
     first = best = None  # (encoding, labeling as a list over vertex indices)
     automorphisms: list[list[int]] = []
 
-    def leaf(colors: list[int]):
+    def leaf(labeling: list[int]):
         nonlocal first, best
-        labeling = [c + 1 for c in colors]
-        enc = tuple(sorted(tuple(sorted(map(labeling.__getitem__, f))) for f in facets))
+        enc = _encoding(facets, labeling)
         if first is None:
             first = best = (enc, labeling)
             return
@@ -190,14 +246,8 @@ def _canonical_search(K: SimplicialComplex):
     def descend(colors: list[int], count: int, path: tuple[int, ...]):
         if count == n or len(set(zip(colors, twin))) == count:
             # each cell is one twin class (or a singleton): the chain of
-            # descends below ends in the one leaf that ranks each cell by
-            # decreasing vertex index
-            if count < n:
-                order = sorted(range(n), key=lambda v: (colors[v], -v))
-                colors = [0] * n
-                for rank, v in enumerate(order):
-                    colors[v] = rank
-            leaf(colors)
+            # descends below ends in one leaf
+            leaf(_twin_leaf(colors, count))
             return
         sizes = [0] * count
         for c in colors:
@@ -220,17 +270,18 @@ def _canonical_search(K: SimplicialComplex):
             branched[v] = target + 1
             descend(*_refine(facets, incident, twin, branched, count + 1), path + (v,))
 
-    descend(*_refine(facets, incident, twin, root, len(ranked)), ())
+    descend(*_refine(facets, incident, twin, root, count), ())
     enc, labeling = best
-    return enc, {v: labeling[i] for i, v in enumerate(verts)}
+    return enc, dict(zip(verts, labeling))
 
 
-def _form(K: SimplicialComplex, enc) -> CanonicalForm:
-    return CanonicalForm(K.m - K.vertex_mask().bit_count(), K.m, enc)
+def _form(K: SimplicialComplex, enc, labeling: dict[int, int]) -> CanonicalForm:
+    # the labeling names every non-ghost vertex
+    return CanonicalForm(K.m - len(labeling), K.m, enc)
 
 
 def canonical_form(K: SimplicialComplex) -> CanonicalForm:
-    return _form(K, _canonical_search(K)[0])
+    return _form(K, *_canonical_search(K))
 
 
 def isomorphic(K1: SimplicialComplex, K2: SimplicialComplex) -> dict[int, int] | None:
@@ -241,7 +292,7 @@ def isomorphic(K1: SimplicialComplex, K2: SimplicialComplex) -> dict[int, int] |
     """
     enc1, lab1 = _canonical_search(K1)
     enc2, lab2 = _canonical_search(K2)
-    if _form(K1, enc1) != _form(K2, enc2):
+    if _form(K1, enc1, lab1) != _form(K2, enc2, lab2):
         return None
     inv2 = {new: old for old, new in lab2.items()}
     witness = {v: inv2[lab1[v]] for v in lab1}

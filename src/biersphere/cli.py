@@ -21,7 +21,7 @@ from .building import (
     write_off,
 )
 from .classify import MAX_CENSUS_M, classify_bier
-from .complexes import MAX_GROUND, SimplicialComplex, vertices_of
+from .complexes import MAX_GROUND, SimplicialComplex, json_int, vertices_of
 from .toric import (
     CharMatrix,
     buchstaber_certificate,
@@ -112,7 +112,7 @@ def cmd_invariants(args) -> int:
     try:
         K = SimplicialComplex.from_json_obj(obj)
         source_m = obj.get("source_m")
-        source_m = None if source_m is None else int(source_m)
+        source_m = None if source_m is None else json_int(source_m)
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(EXIT_PARSE, f"bad complex JSON in {args.input}: {exc}")
     try:

@@ -19,6 +19,14 @@ class DegenerateComplexError(ValueError):
     """Raised for operations undefined on the empty complex (dimension -1)."""
 
 
+def json_int(value) -> int:
+    """An integer field of a JSON input, which must be a JSON integer: a
+    bool, float or string raises TypeError rather than being converted."""
+    if type(value) is not int:  # bool is a subclass of int
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def mask_of(vertices) -> int:
     """Bit mask for an iterable of 1-based vertex labels."""
     m = 0
@@ -278,4 +286,6 @@ class SimplicialComplex:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SimplicialComplex":
-        return cls.from_facets(int(obj["m"]), obj["facets"])
+        return cls.from_facets(
+            json_int(obj["m"]), [list(map(json_int, face)) for face in obj["facets"]]
+        )

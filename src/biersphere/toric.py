@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .complexes import SimplicialComplex, vertices_of
+from .complexes import SimplicialComplex, json_int, vertices_of
 from .bier import BierSphere, bier_sphere, side_label
 from .building import BuildingSetError, element_label
 
@@ -60,10 +60,10 @@ class CharMatrix:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "CharMatrix":
         mat = cls(
-            entries=tuple(tuple(int(x) for x in r) for r in obj["entries"]),
+            entries=tuple(tuple(map(json_int, r)) for r in obj["entries"]),
             labels=tuple(obj["labels"]),
         )
-        if mat.rows != obj["rows"] or mat.cols != obj["cols"]:
+        if mat.rows != json_int(obj["rows"]) or mat.cols != json_int(obj["cols"]):
             raise ValueError("declared shape does not match entries")
         return mat
 

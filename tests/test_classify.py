@@ -82,6 +82,17 @@ def test_pruned_search_matches_brute_force():
     # every census complex and its Bier sphere for m = 2..4, and the golden spheres
     complexes = [K for m in range(2, 5) for pair in bier_census(m) for K in pair]
     complexes += [golden.golden_sphere(i) for i in range(1, 14)]
+    # with c the colour of a cell, a facet coloured (0, c) sorts after one
+    # coloured (0, 1, c), but its view (0,) sorts before (0, 1): on these two
+    # complexes, ranking a cell by facet colours instead of views changes the
+    # form
+    reordering = (
+        (9, [(1, 2, 3, 5, 7, 9), (1, 2, 3, 7, 8), (1, 2, 4, 7), (1, 3, 4, 5, 6, 7, 8, 9),
+             (2, 3, 6, 8), (2, 4, 5, 7, 9)]),
+        (8, [(1, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 8), (1, 4, 5, 6, 7, 8), (2, 3, 4, 5, 7, 8),
+             (3, 5, 6, 7, 8)]),
+    )
+    complexes += [SimplicialComplex.from_facets(m, facets) for m, facets in reordering]
     for K in complexes:
         assert _canonical_search(K) == brute_force_canonical_search(K)
 
@@ -225,15 +236,15 @@ def test_vertex_cap_holds_for_full_symmetry(monkeypatch):
         assert calls[0] <= n**3
 
 
-def test_one_twin_class_is_refined_once(monkeypatch):
+def test_one_twin_class_is_answered_before_refinement(monkeypatch):
     # all twelve vertices are twins: the root partition is one twin class, so
-    # refinement stops without a round and the root is a leaf in closed form
+    # the root is a leaf in closed form, returned before any refinement
     n = MAX_CANON_VERTICES
     calls = count_refinements(monkeypatch)
     for K in fully_symmetric(n):
         calls[0] = 0
         canonical_form(K)
-        assert calls[0] == 1
+        assert calls[0] == 0
 
 
 def cross_polytope(d):
@@ -258,19 +269,47 @@ def test_cross_polytope_work_is_pinned(monkeypatch):
     assert len(forms) == 1
 
 
-def test_census_calls_canonical_form_once_per_antichain(monkeypatch):
-    # the benchmark's traced self-test pins the same count: Dedekind's 168
-    # antichains on [4], less the simplex and {empty set} (the empty antichain
-    # already stands for that complex)
-    calls = [0]
+def census_inputs(monkeypatch, m):
+    """The complexes a fresh census on [m] takes a canonical form of."""
+    seen = []
 
-    def counted(K):
-        calls[0] += 1
+    def collect(K):
+        seen.append(K)
         return canonical_form(K)
 
-    monkeypatch.setattr(classify, "canonical_form", counted)
-    classify._enumerate_cached.__wrapped__(4)
-    assert calls[0] == 166
+    with monkeypatch.context() as patch:
+        patch.setattr(classify, "canonical_form", collect)
+        classify._enumerate_cached.__wrapped__(m)
+    return seen
+
+
+def test_census_calls_canonical_form_once_per_antichain(monkeypatch):
+    # the benchmark's traced self-test pins the same counts: Dedekind's 168
+    # antichains on [4] and 7,581 on [5], less the simplex and {empty set}
+    # (the empty antichain already stands for that complex)
+    assert len(census_inputs(monkeypatch, 4)) == 166
+    assert len(census_inputs(monkeypatch, 5)) == 7579
+
+
+def test_pruned_search_matches_brute_force_on_every_antichain(monkeypatch):
+    # each antichain on [4] as the census gives it, and relabelled onto a
+    # random 4-subset of [6], which brings ghosts and a support other than
+    # 1..n: both ways into index space, the root exit and the full search
+    rng = random.Random(31)
+    calls = count_refinements(monkeypatch)
+    refined, index_space = set(), set()
+    for K in census_inputs(monkeypatch, 4):
+        image = rng.sample(range(1, 7), 4)
+        L = SimplicialComplex(
+            6, frozenset(mask_of(image[v - 1] for v in vertices_of(f)) for f in K.facets)
+        )
+        for J in (K, L):
+            calls[0] = 0
+            assert _canonical_search(J) == brute_force_canonical_search(J)
+            support = J.vertex_mask()
+            refined.add(calls[0] > 0)
+            index_space.add(support == (1 << support.bit_count()) - 1)
+    assert refined == index_space == {False, True}
 
 
 def test_census_searches_one_sphere_per_dual_pair(monkeypatch):

@@ -94,13 +94,61 @@ def test_invariants_golden_sphere(capsys, tmp_path):
     assert inv["f"] == [6, 12, 8]
 
 
-@pytest.mark.parametrize("source_m", ["x", [1]])
+@pytest.mark.parametrize("source_m", ["x", [1], 2.0, True])
 def test_invariants_malformed_source_m(capsys, tmp_path, source_m):
     path = write(tmp_path / "k.json", {"m": 4, "facets": [[1, 2], [3, 4]], "source_m": source_m})
     code, out, err = run(capsys, "invariants", path)
     assert code == 1
     assert out == ""
     assert err.startswith("error: bad complex JSON") and "Traceback" not in err
+
+
+def parse_error(capsys, *argv):
+    """Exit 1 with the loader's message, nothing on stdout, no traceback."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: bad ") and "Traceback" not in err
+    return err
+
+
+# JSON integer fields take JSON integers only: a float is not truncated, and
+# true is not 1
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"m": 3.5, "facets": [[1, 2]]},
+        {"m": True, "facets": [[1]]},
+        {"m": 3, "facets": [[1.0, 2]]},
+        {"m": 3, "facets": [[True, 2]]},
+    ],
+)
+def test_complex_json_needs_integers(capsys, tmp_path, obj):
+    err = parse_error(capsys, "dual", write(tmp_path / "k.json", obj))
+    assert "bad complex JSON" in err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("entries", [[1.9, 0, 0, -1], [0, 1, 0, -1], [0, 0, 1, -1]]), ("rows", 3.0), ("cols", True)],
+)
+def test_matrix_json_needs_integers(capsys, tmp_path, field, value):
+    obj = golden.appendix_matrix(13).to_json_obj()
+    obj[field] = value
+    err = parse_error(capsys, "orientable", write(tmp_path / "m.json", obj))
+    assert "bad matrix JSON" in err
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"n_plus_1": 3.0, "elements": [[1], [2], [3], [1, 2, 3]]},
+        {"n_plus_1": 3, "elements": [[1.0], [2], [3], [1, 2, 3]]},
+        {"n_plus_1": 3, "elements": [[True], [2], [3], [1, 2, 3]]},
+    ],
+)
+def test_building_json_needs_integers(capsys, tmp_path, obj):
+    err = parse_error(capsys, "nestohedron", write(tmp_path / "b.json", obj))
+    assert "bad building set JSON" in err
 
 
 def test_invariants_non_pure_is_domain_error(capsys, tmp_path):
