@@ -15,7 +15,6 @@ OFF export.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
 from math import atan2
@@ -98,7 +97,7 @@ class Halfspace:
 
     label: str
     coeffs: tuple[int, ...]
-    rhs: Fraction
+    rhs: int
     element: frozenset[int] | None = None
 
 
@@ -107,9 +106,9 @@ class NestohedronRealization:
     """Exact vertex description of a simple polytope in the level hyperplane."""
 
     ambient: int
-    level: Fraction  # sum of coordinates on the defining hyperplane
+    level: int  # sum of coordinates on the defining hyperplane
     halfspaces: tuple[Halfspace, ...]
-    vertices: tuple[tuple[Fraction, ...], ...]
+    vertices: tuple[tuple[int, ...], ...]
     incidence: tuple[frozenset[int], ...]  # halfspace indices tight per vertex
 
     def facet_vertex_sets(self) -> list[frozenset[int]]:
@@ -140,17 +139,17 @@ class NestohedronRealization:
     def from_json_obj(cls, obj: dict) -> "NestohedronRealization":
         return cls(
             ambient=int(obj["ambient"]),
-            level=Fraction(obj["level"]),
+            level=int(obj["level"]),
             halfspaces=tuple(
                 Halfspace(
                     label=h["label"],
                     coeffs=tuple(h["coeffs"]),
-                    rhs=Fraction(h["rhs"]),
+                    rhs=int(h["rhs"]),
                     element=frozenset(h["element"]) if h["element"] is not None else None,
                 )
                 for h in obj["halfspaces"]
             ),
-            vertices=tuple(tuple(Fraction(c) for c in v) for v in obj["vertices"]),
+            vertices=tuple(tuple(map(int, v)) for v in obj["vertices"]),
             incidence=tuple(frozenset(inc) for inc in obj["incidence"]),
         )
 
@@ -189,11 +188,8 @@ def _realize(B: BuildingSet, y: dict[frozenset[int], int], orderings) -> Nestohe
     proper = B.proper_elements()
     rows = [(tuple(1 if i in S else 0 for i in range(1, n1 + 1)), z(mask_of(S))) for S in proper]
     incidence = _certified_incidence(rows, points, n1 - 1)
-    halfspaces = tuple(
-        Halfspace(element_label(S), a, Fraction(b), S) for S, (a, b) in zip(proper, rows)
-    )
-    vertices = tuple(tuple(map(Fraction, p)) for p in points)
-    return NestohedronRealization(n1, Fraction(sum(y.values())), halfspaces, vertices, incidence)
+    halfspaces = tuple(Halfspace(element_label(S), a, b, S) for S, (a, b) in zip(proper, rows))
+    return NestohedronRealization(n1, sum(y.values()), halfspaces, tuple(points), incidence)
 
 
 def _certified_incidence(rows, points, n: int) -> tuple[frozenset[int], ...]:
@@ -379,7 +375,7 @@ def _facet_cycles(R: NestohedronRealization) -> list[list[int]]:
 
 
 def write_off(R: NestohedronRealization) -> str:
-    """OFF text: decimal coordinates in the body, exact fractions in comments.
+    """OFF text: decimal coordinates in the body, exact integers in comments.
 
     The body drops the last ambient coordinate (an affine bijection on the
     level hyperplane) so standard 3-coordinate viewers can read the file;

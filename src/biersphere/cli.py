@@ -11,7 +11,6 @@ import json
 import sys
 from pathlib import Path
 
-from . import golden
 from .bier import FullSimplexError, alexander_dual, bier_sphere, render_mf
 from .building import (
     BuildingSet,
@@ -21,7 +20,7 @@ from .building import (
     write_off,
 )
 from .classify import MAX_CENSUS_M, classify_bier
-from .complexes import MAX_GROUND, SimplicialComplex, json_int, vertices_of
+from .complexes import MAX_GROUND, SimplicialComplex, euler_of_f, h_of_f, json_int, vertices_of
 from .toric import (
     CharMatrix,
     buchstaber_certificate,
@@ -44,51 +43,56 @@ class CliError(Exception):
         self.code = code
 
 
-def _load_json(path: str) -> dict:
+def _load(path: str, parse, what: str):
+    """parse(obj) of the JSON file at path; any failure is a CliError."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(EXIT_PARSE, f"cannot read {path}: {exc}")
-
-
-def _load_complex(path: str) -> SimplicialComplex:
-    obj = _load_json(path)
     try:
-        return SimplicialComplex.from_json_obj(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(EXIT_PARSE, f"bad complex JSON in {path}: {exc}")
-
-
-def _load_matrix(path: str) -> CharMatrix:
-    obj = _load_json(path)
-    try:
-        return CharMatrix.from_json_obj(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(EXIT_PARSE, f"bad matrix JSON in {path}: {exc}")
-
-
-def _load_building(path: str, nerve: bool) -> BuildingSet:
-    obj = _load_json(path)
-    try:
-        B = BuildingSet.from_json_obj(obj)
+        return parse(obj)
     except BuildingSetError as exc:
         raise CliError(EXIT_DOMAIN, str(exc))
     except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(EXIT_PARSE, f"bad building set JSON in {path}: {exc}")
+        raise CliError(EXIT_PARSE, f"bad {what} JSON in {path}: {exc}")
+
+
+def _load_building(path: str, nerve: bool) -> BuildingSet:
+    B = _load(path, BuildingSet.from_json_obj, "building set")
     n = len(B.proper_elements())  # the facets of the nestohedron, the vertices of its nerve
     if nerve and n > MAX_GROUND:
         raise CliError(EXIT_DOMAIN, f"a nerve of {n} vertices exceeds the {MAX_GROUND}-label cap")
     return B
 
 
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2) + "\n"
+
+
 def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(_json_text(obj))
+
+
+def _write(path, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(EXIT_PARSE, f"cannot write {path}: {exc}")
+
+
+def _out_dir(path: str) -> Path:
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(EXIT_PARSE, f"cannot create {out}: {exc}")
+    return out
 
 
 def cmd_dual(args) -> int:
-    K = _load_complex(args.input)
+    K = _load(args.input, SimplicialComplex.from_json_obj, "complex")
     try:
         _emit(alexander_dual(K).to_json_obj())
     except FullSimplexError:
@@ -97,7 +101,7 @@ def cmd_dual(args) -> int:
 
 
 def cmd_sphere(args) -> int:
-    K = _load_complex(args.input)
+    K = _load(args.input, SimplicialComplex.from_json_obj, "complex")
     try:
         _emit(bier_sphere(K).to_json_obj())
     except FullSimplexError:
@@ -108,18 +112,18 @@ def cmd_sphere(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    obj = _load_json(args.input)
-    try:
+    def parse(obj):
         K = SimplicialComplex.from_json_obj(obj)
         source_m = obj.get("source_m")
-        source_m = None if source_m is None else json_int(source_m)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(EXIT_PARSE, f"bad complex JSON in {args.input}: {exc}")
+        return K, None if source_m is None else json_int(source_m)
+
+    K, source_m = _load(args.input, parse, "complex")
     try:
         f = K.f_vector()
-        h = K.h_vector()
-    except ValueError as exc:  # DegenerateComplexError, or h of a non-pure complex
+    except ValueError as exc:  # DegenerateComplexError
         raise CliError(EXIT_DOMAIN, str(exc))
+    if not K.is_pure():
+        raise CliError(EXIT_DOMAIN, "h-vector requires a pure complex")
     mf = K.minimal_non_faces()
     if source_m is not None and 2 * source_m == K.m:
         rendered = render_mf(mf, source_m)
@@ -128,10 +132,10 @@ def cmd_invariants(args) -> int:
     _emit(
         {
             "f": list(f),
-            "h": list(h),
+            "h": list(h_of_f(f)),
             "mf": rendered,
-            "flag": K.is_flag(),
-            "euler": K.euler_characteristic(),
+            "flag": all(s.bit_count() <= 2 for s in mf),
+            "euler": euler_of_f(f),
             "ghosts": len(K.ghost_vertices()),
         }
     )
@@ -141,11 +145,7 @@ def cmd_invariants(args) -> int:
 def cmd_classify(args) -> int:
     if not 2 <= args.m <= MAX_CENSUS_M:
         raise CliError(EXIT_DOMAIN, f"classification supported for 2 <= m <= {MAX_CENSUS_M}")
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise CliError(EXIT_PARSE, f"cannot create {out}: {exc}")
+    out = _out_dir(args.out)
     report = classify_bier(args.m)
     classes = []
     for idx, c in enumerate(report.classes, start=1):
@@ -160,21 +160,18 @@ def cmd_classify(args) -> int:
             "complex_file": f"{name}.json",
         }
         classes.append(rec)
-        with open(out / f"{name}.json", "w") as fh:
-            json.dump(c.representative.to_json_obj(), fh, indent=2)
-            fh.write("\n")
-    with open(out / "classes.json", "w") as fh:
-        json.dump(
+        _write(out / f"{name}.json", _json_text(c.representative.to_json_obj()))
+    _write(
+        out / "classes.json",
+        _json_text(
             {
                 "m": report.m,
                 "total_complex_classes": report.total_complexes,
                 "class_count": report.class_count,
                 "classes": classes,
-            },
-            fh,
-            indent=2,
-        )
-        fh.write("\n")
+            }
+        ),
+    )
     lines = [
         f"# Bier sphere types on [{report.m}]",
         "",
@@ -194,15 +191,14 @@ def cmd_classify(args) -> int:
                 mf=" ".join(rec["mf"]),
             )
         )
-    with open(out / "report.md", "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(out / "report.md", "\n".join(lines) + "\n")
     print(f"{report.class_count} classes written to {out}")
     return EXIT_OK
 
 
 def cmd_charmap(args) -> int:
     if args.bier:
-        K = _load_complex(args.bier)
+        K = _load(args.bier, SimplicialComplex.from_json_obj, "complex")
         try:
             cert = buchstaber_certificate(K)
         except (FullSimplexError, ValueError) as exc:
@@ -239,24 +235,19 @@ def cmd_nestohedron(args) -> int:
     except BuildingSetError as exc:
         raise CliError(EXIT_DOMAIN, str(exc))
     if args.off:
-        with open(args.off, "w") as fh:
-            fh.write(write_off(R))
-        with open(args.off + ".json", "w") as fh:
-            json.dump(R.to_json_obj(), fh, indent=2)
-            fh.write("\n")
+        _write(args.off, write_off(R))
+        _write(args.off + ".json", _json_text(R.to_json_obj()))
     if args.nerve:
         nerve = nerve_of_realization(R)
         obj = nerve.complex.to_json_obj()
         obj["labels"] = list(nerve.labels)
-        with open(args.nerve, "w") as fh:
-            json.dump(obj, fh, indent=2)
-            fh.write("\n")
+        _write(args.nerve, _json_text(obj))
     print(f"{len(R.vertices)} vertices, {len([s for s in R.facet_vertex_sets() if s])} facets")
     return EXIT_OK
 
 
 def cmd_orientable(args) -> int:
-    Lambda = _load_matrix(args.input)
+    Lambda = _load(args.input, CharMatrix.from_json_obj, "matrix")
     try:
         witness = small_cover_orientable(Lambda)
     except ValueError as exc:
@@ -271,8 +262,8 @@ def cmd_orientable(args) -> int:
 
 
 def cmd_betti(args) -> int:
-    K = _load_complex(args.complex)
-    Lambda = _load_matrix(args.matrix)
+    K = _load(args.complex, SimplicialComplex.from_json_obj, "complex")
+    Lambda = _load(args.matrix, CharMatrix.from_json_obj, "matrix")
     try:
         pres = cohomology_presentation(K, Lambda)
     except ValueError as exc:
@@ -284,16 +275,9 @@ def cmd_betti(args) -> int:
 def cmd_verify_paper(args) -> int:
     summary = verify_paper()
     if args.out:
-        out = Path(args.out)
-        try:
-            out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise CliError(EXIT_PARSE, f"cannot create {out}: {exc}")
-        with open(out / "summary.json", "w") as fh:
-            json.dump(summary.to_json_obj(), fh, indent=2)
-            fh.write("\n")
-        with open(out / "summary.md", "w") as fh:
-            fh.write(summary.to_markdown())
+        out = _out_dir(args.out)
+        _write(out / "summary.json", _json_text(summary.to_json_obj()))
+        _write(out / "summary.md", summary.to_markdown())
     for r in summary.rows:
         mark = "PASS" if r.passed else "FAIL"
         print(f"{mark} {r.name}: expected {r.expected}, computed {r.computed}")

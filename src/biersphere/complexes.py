@@ -86,6 +86,11 @@ def h_of_f(f: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(h)
 
 
+def euler_of_f(f: tuple[int, ...]) -> int:
+    """The Euler characteristic f_0 - f_1 + f_2 - ... of a complex."""
+    return sum((-1) ** i * fi for i, fi in enumerate(f))
+
+
 def _antichain(masks) -> frozenset[int]:
     """Inclusion-maximal elements of a family of masks; {0} if family empty.
 
@@ -213,8 +218,7 @@ class SimplicialComplex:
         return h_of_f(self.f_vector())
 
     def euler_characteristic(self) -> int:
-        f = self.f_vector()
-        return sum((-1) ** i * fi for i, fi in enumerate(f))
+        return euler_of_f(self.f_vector())
 
     def minimal_non_faces(self) -> list[int]:
         """Inclusion-minimal non-faces sorted by (size, mask); [] for the full

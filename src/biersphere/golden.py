@@ -15,6 +15,7 @@ from .bier import alexander_dual
 from .building import BuildingSet, element_label
 from .complexes import SimplicialComplex, _antichain, mask_of
 from .classify import CanonicalForm, canonical_form
+from .toric import CharMatrix
 
 SOURCE_M = 4
 
@@ -176,8 +177,6 @@ def golden_building_set(i: int):
 
 def appendix_matrix(i: int):
     """Characteristic matrix of type i with its published column labels."""
-    from .toric import CharMatrix
-
     rows = CHAR_MATRICES[i]
     if i == 6:
         names = tuple(f"x{j}" for j in range(1, 5)) + tuple(f"y{j}" for j in range(1, 5))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import mul
 
 from .complexes import SimplicialComplex, json_int, vertices_of
 from .bier import BierSphere, bier_sphere, side_label
@@ -59,9 +60,12 @@ class CharMatrix:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "CharMatrix":
+        labels = obj["labels"]
+        if not isinstance(labels, list) or not all(isinstance(lab, str) for lab in labels):
+            raise TypeError(f"labels must be a list of strings, got {labels!r}")
         mat = cls(
             entries=tuple(tuple(map(json_int, r)) for r in obj["entries"]),
-            labels=tuple(obj["labels"]),
+            labels=tuple(labels),
         )
         if mat.rows != json_int(obj["rows"]) or mat.cols != json_int(obj["cols"]):
             raise ValueError("declared shape does not match entries")
@@ -138,14 +142,6 @@ class BuchstaberCertificate:
     upper_bound: int
     bad_facet: int | None
 
-    def to_json_obj(self) -> dict:
-        return {
-            "sphere": self.sphere.to_json_obj(),
-            "matrix": self.matrix.to_json_obj(),
-            "upper_bound": self.upper_bound,
-            "bad_facet": self.bad_facet,
-        }
-
 
 def buchstaber_certificate(K: SimplicialComplex) -> BuchstaberCertificate:
     """Certify s = s_R = m+1 for Bier(K) by the doubled-ground labelling.
@@ -219,34 +215,19 @@ def cohomology_presentation(
     )
 
 
-def _gl3_f2():
-    """All 168 invertible 3x3 matrices over the two-element field, as
-    column triples."""
-    vecs = [v for v in product((0, 1), repeat=3) if v != (0, 0, 0)]
-    out = []
-    for b1 in vecs:
-        for b2 in vecs:
-            if b2 == b1:
-                continue
-            span = {b1, b2, tuple((x + y) % 2 for x, y in zip(b1, b2))}
-            for b3 in vecs:
-                if b3 not in span:
-                    out.append((b1, b2, b3))
-    return out
-
-
 def small_cover_orientable(Lambda: CharMatrix):
-    """Orientability of the small cover over a 3-polytope: search for a
-    basis of F_2^3 whose four-element set {b1, b2, b3, b1+b2+b3} contains
-    every column mod 2.  Returns the witnessing basis or None."""
+    """Orientability of the small cover over a 3-polytope, with a basis
+    b1, b2, b3 of F_2^3 whose set {b1, b2, b3, b1+b2+b3} contains every
+    column mod 2, or None (Nakayama-Nishimura 2005).
+
+    Those sets are the seven affine planes {v : phi . v = 1}, phi != 0, and
+    any three points of one such plane are a basis, so the witness is the
+    least three points, in product order, of the least plane (as a sorted
+    list of points) that holds the columns.
+    """
     if Lambda.rows != 3:
         raise ValueError("criterion implemented for three rows only")
-    reduced = Lambda.mod2()
-    columns = {
-        tuple(reduced[r][j] for r in range(3)) for j in range(Lambda.cols)
-    }
-    for b1, b2, b3 in _gl3_f2():
-        allowed = {b1, b2, b3, tuple((x + y + z) % 2 for x, y, z in zip(b1, b2, b3))}
-        if columns <= allowed:
-            return (b1, b2, b3)
-    return None
+    columns = set(zip(*Lambda.mod2()))
+    vecs = list(product((0, 1), repeat=3))
+    planes = ([v for v in vecs if sum(map(mul, phi, v)) % 2] for phi in vecs[1:])
+    return min((tuple(P[:3]) for P in planes if columns <= set(P)), default=None)

@@ -129,7 +129,13 @@ def test_complex_json_needs_integers(capsys, tmp_path, obj):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("entries", [[1.9, 0, 0, -1], [0, 1, 0, -1], [0, 0, 1, -1]]), ("rows", 3.0), ("cols", True)],
+    [
+        ("entries", [[1.9, 0, 0, -1], [0, 1, 0, -1], [0, 0, 1, -1]]),
+        ("rows", 3.0),
+        ("cols", True),
+        ("labels", "abcd"),
+        ("labels", [1, 2, 3, 4]),
+    ],
 )
 def test_matrix_json_needs_integers(capsys, tmp_path, field, value):
     obj = golden.appendix_matrix(13).to_json_obj()
@@ -149,6 +155,27 @@ def test_matrix_json_needs_integers(capsys, tmp_path, field, value):
 def test_building_json_needs_integers(capsys, tmp_path, obj):
     err = parse_error(capsys, "nestohedron", write(tmp_path / "b.json", obj))
     assert "bad building set JSON" in err
+
+
+def test_invariants_lists_faces_once_and_minimal_non_faces_once(capsys, tmp_path, monkeypatch):
+    from biersphere.complexes import SimplicialComplex
+
+    obj = golden.golden_sphere(1).to_json_obj()
+    obj["source_m"] = 4
+    path = write(tmp_path / "s1.json", obj)
+    calls = {"f_vector": 0, "minimal_non_faces": 0}
+    for name in calls:
+        method = getattr(SimplicialComplex, name)
+
+        def counted(self, method=method, name=name):
+            calls[name] += 1
+            return method(self)
+
+        monkeypatch.setattr(SimplicialComplex, name, counted)
+    code, out, _ = run(capsys, "invariants", path)
+    assert code == 0
+    assert json.loads(out)["f"] == [8, 18, 12]
+    assert calls == {"f_vector": 1, "minimal_non_faces": 1}
 
 
 def test_invariants_non_pure_is_domain_error(capsys, tmp_path):
@@ -313,3 +340,28 @@ def test_verify_paper(capsys, tmp_path):
     assert sha256(out_dir / "summary.md") == (
         "062cdb310f8d960eb6d6dc32c28ae75571ea5c3f820cba304e8c4ec758fff05d"
     )
+
+
+def write_error(capsys, *argv):
+    """Exit 1 naming the unwritable path, nothing on stdout, no traceback."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot write ") and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("flag", ["--off", "--nerve"])
+def test_nestohedron_unwritable_output(capsys, b10, tmp_path, flag):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    write_error(capsys, "nestohedron", b10, flag, str(blocker / "p.out"))
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [(("classify", "--m", "4"), "classes.json"), (("verify-paper",), "summary.json")],
+)
+def test_unwritable_output_file_in_out_dir(capsys, tmp_path, argv, name):
+    (tmp_path / name).mkdir()
+    err = write_error(capsys, *argv, "--out", str(tmp_path))
+    assert name in err

@@ -1,4 +1,5 @@
-from itertools import permutations
+import random
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -7,7 +8,6 @@ from biersphere.classify import enumerate_complexes
 from biersphere.complexes import SimplicialComplex
 from biersphere.toric import (
     CharMatrix,
-    _gl3_f2,
     bier_charmap,
     buchstaber_certificate,
     cohomology_presentation,
@@ -198,8 +198,52 @@ def test_presentation_rejects_invalid_matrix():
         cohomology_presentation(S, zeroed)
 
 
+def _gl3_f2():
+    """All 168 invertible 3x3 matrices over the two-element field, as
+    column triples."""
+    vecs = [v for v in product((0, 1), repeat=3) if v != (0, 0, 0)]
+    out = []
+    for b1 in vecs:
+        for b2 in vecs:
+            if b2 == b1:
+                continue
+            span = {b1, b2, tuple((x + y) % 2 for x, y in zip(b1, b2))}
+            for b3 in vecs:
+                if b3 not in span:
+                    out.append((b1, b2, b3))
+    return out
+
+
+def orientable_by_search(Lambda):
+    """Oracle: the first basis of F_2^3, in _gl3_f2 order, whose set
+    {b1, b2, b3, b1+b2+b3} holds every column mod 2, or None."""
+    columns = set(zip(*Lambda.mod2()))
+    for b1, b2, b3 in _gl3_f2():
+        allowed = {b1, b2, b3, tuple((x + y + z) % 2 for x, y, z in zip(b1, b2, b3))}
+        if columns <= allowed:
+            return (b1, b2, b3)
+    return None
+
+
 def test_gl3_count():
     assert len(_gl3_f2()) == 168
+
+
+def test_orientability_matches_the_basis_search():
+    for i in range(1, 14):
+        A = golden.appendix_matrix(i)
+        assert small_cover_orientable(A) == orientable_by_search(A), i
+    # every set of columns mod 2, lifted to integers of either sign
+    rng = random.Random(14)
+    vecs = list(product((0, 1), repeat=3))
+    for k in range(len(vecs) + 1):
+        for cols in combinations(vecs, k):
+            cols = [tuple(x + 2 * rng.randint(-2, 2) for x in c) for c in cols * 2]
+            A = CharMatrix(
+                entries=tuple(zip(*cols)) if cols else ((), (), ()),
+                labels=tuple(map(str, range(len(cols)))),
+            )
+            assert small_cover_orientable(A) == orientable_by_search(A), cols
 
 
 def test_orientability_identity_basis():
