@@ -3,13 +3,17 @@
 bench/tracer.py wraps functions by name; a rename under src/ would only
 show as a crash of a traced benchmark run.  bench/workloads.py pins the
 bytes of ``bier classify --m 5``, which otherwise only a benchmark run
-checks.  Both are loaded here by path and read, never installed.
+checks, and bench/run.py the traced self-test's call counts.  They are
+loaded here by path and read, never installed.
 """
 
 import hashlib
 import importlib
 import importlib.util
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 from biersphere.cli import main
@@ -21,7 +25,12 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 def load_bench(name):
     spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    # a dataclass looks its module up by name while the module executes
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
     return module
 
 
@@ -42,3 +51,17 @@ def test_census_m5_output_matches_the_benchmark_pin(tmp_path):
     assert main(["classify", "--m", "5", "--out", str(tmp_path)]) == 0
     for name, digest in pins.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_traced_self_test_counts_match_the_harness(tmp_path):
+    # the child the traced benchmark runs, in its own interpreter, with the
+    # tracer wrapping canonical_form in every biersphere namespace
+    child = subprocess.run(
+        [sys.executable, str(BENCH / "child.py"), "selftest", "census-m5", "0", str(tmp_path), "1"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    counts = json.loads((tmp_path / "result.json").read_text())["selftest"]
+    assert counts == load_bench("run").SELFTEST_EXPECTED

@@ -273,9 +273,9 @@ def census_inputs(monkeypatch, m):
     """The complexes a fresh census on [m] takes a canonical form of."""
     seen = []
 
-    def collect(K):
+    def collect(K, *args, **kwargs):
         seen.append(K)
-        return canonical_form(K)
+        return canonical_form(K, *args, **kwargs)
 
     with monkeypatch.context() as patch:
         patch.setattr(classify, "canonical_form", collect)
@@ -291,6 +291,51 @@ def test_census_calls_canonical_form_once_per_antichain(monkeypatch):
     assert len(census_inputs(monkeypatch, 5)) == 7579
 
 
+def onto_ground(K, ground, rng):
+    """K relabelled onto a random |[K.m]|-subset of [ground]."""
+    image = rng.sample(range(1, ground + 1), K.m)
+    return SimplicialComplex(
+        ground, frozenset(mask_of(image[v - 1] for v in vertices_of(f)) for f in K.facets)
+    )
+
+
+def test_memo_agrees_with_the_search_on_every_antichain(monkeypatch):
+    # every antichain on [4] and [5], and each relabelled onto a random
+    # subset of [6] or [7] (ghosts, supports other than 1..n), through one
+    # memo shared across both grounds and both copies
+    rng = random.Random(37)
+    memo, checked = {}, 0
+    for m in (4, 5):
+        for K in census_inputs(monkeypatch, m):
+            for J in (K, onto_ground(K, rng.choice((6, 7)), rng)):
+                assert canonical_form(J, memo) == canonical_form(J)
+                checked += 1
+    assert 10 * len(memo) < checked  # most forms came from the memo
+
+
+def count_searches(monkeypatch):
+    calls = [0]
+    search = classify._search
+
+    def counted(*args):
+        calls[0] += 1
+        return search(*args)
+
+    monkeypatch.setattr(classify, "_search", counted)
+    return calls
+
+
+def test_census_searches_once_per_relabelling_class(monkeypatch):
+    # 7,579 forms on [5] and 166 on [4], but a search only for the first
+    # complex of each key (its facets relabelled by root colour, then index)
+    calls = count_searches(monkeypatch)
+    assert len(classify._enumerate_cached.__wrapped__(4)) == 28
+    assert calls[0] == 32
+    calls[0] = 0
+    assert len(classify._enumerate_cached.__wrapped__(5)) == 208
+    assert calls[0] == 345
+
+
 def test_pruned_search_matches_brute_force_on_every_antichain(monkeypatch):
     # each antichain on [4] as the census gives it, and relabelled onto a
     # random 4-subset of [6], which brings ghosts and a support other than
@@ -299,11 +344,7 @@ def test_pruned_search_matches_brute_force_on_every_antichain(monkeypatch):
     calls = count_refinements(monkeypatch)
     refined, index_space = set(), set()
     for K in census_inputs(monkeypatch, 4):
-        image = rng.sample(range(1, 7), 4)
-        L = SimplicialComplex(
-            6, frozenset(mask_of(image[v - 1] for v in vertices_of(f)) for f in K.facets)
-        )
-        for J in (K, L):
+        for J in (K, onto_ground(K, 6, rng)):
             calls[0] = 0
             assert _canonical_search(J) == brute_force_canonical_search(J)
             support = J.vertex_mask()

@@ -14,11 +14,15 @@ from biersphere.building import (  # noqa: E402
     realize_nestohedron,
     validate_building_set,
 )
-from biersphere.classify import _canonical_search  # noqa: E402
+from biersphere.classify import _canonical_search, canonical_form  # noqa: E402
 from biersphere.complexes import SimplicialComplex, _antichain  # noqa: E402
 from test_bier import deleted_join_oracle  # noqa: E402
 from test_building import assert_matches_oracle  # noqa: E402
-from test_classify import brute_force_canonical_search  # noqa: E402
+from test_classify import (  # noqa: E402
+    brute_force_canonical_search,
+    onto_ground,
+    random_complex,
+)
 from test_complexes import brute_force_minimal_non_faces  # noqa: E402
 
 
@@ -98,6 +102,21 @@ def test_antichain_matches_quadratic_filter(masks):
 @given(non_simplex_complexes(max_m=7))
 def test_canonical_search_matches_brute_force(K):
     assert _canonical_search(K) == brute_force_canonical_search(K)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.randoms(use_true_random=False))
+def test_memo_answers_as_the_search_does(rng):
+    # a dozen random complexes on [2..5], each with a copy relabelled onto
+    # part of a ground up to two larger (ghosts, other supports), all
+    # through one memo
+    memo = {}
+    for _ in range(12):
+        K = random_complex(rng, rng.randint(2, 5), faces=6)
+        L = onto_ground(K, K.m + rng.randint(0, 2), rng)
+        assert canonical_form(K, memo) == canonical_form(K)
+        assert canonical_form(L, memo) == canonical_form(L)
+        assert canonical_form(L, memo).facets == canonical_form(K, memo).facets
 
 
 @st.composite
