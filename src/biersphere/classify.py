@@ -53,14 +53,16 @@ facet set of a complex isomorphic to K: equal keys mean isomorphic
 complexes, whose encodings are equal because the encoding is an
 isomorphism invariant.  The ghost count is still read from K.  The key is
 taken right after the root colours, so a hit skips the twin tests and the
-search; on [5], 345 keys are searched and the other 7,234 forms are hits.
+search, and builds no per-vertex incidence lists, which only the search
+reads; on [5], 345 keys are searched and the other 7,234 forms are hits.
 The memo is exact for any batch, but it pays only where many inputs are
 relabellings of few, so ``_enumerate_cached`` creates one per m and drops
 it on return; a memo for the whole process would also keep every later
 search, the census spheres included, for as long as the process runs.
 A call without a memo takes a fresh one, so every call takes the key; a
-key costs about 2% of a census sphere's search and 10% of an antichain
-dual's, a few milliseconds over the calls a census makes outside it.
+key costs about 2% of a census sphere's set-up and search and 12% of an
+antichain dual's, a few milliseconds over the calls a census makes outside
+it.
 
 The census searches one Bier sphere per pair of dual classes.  Bier(K^) is
 Bier(K) with the x and y sides swapped, since K^^ = K and the deleted join
@@ -192,8 +194,8 @@ def _encoding(facets: list[tuple[int, ...]], labels: list[int]) -> tuple:
 
 def _root(K: SimplicialComplex):
     """The set-up of a search, in index space: (non-ghost labels, facet
-    masks over vertex indices, their positions, each vertex's incident
-    facets, root colours, colour count), or None when K has no vertex."""
+    masks over vertex indices, their positions, root colours, colour
+    count), or None when K has no vertex."""
     support = K.vertex_mask()
     n = support.bit_count()
     if n > MAX_CANON_VERTICES:
@@ -210,19 +212,19 @@ def _root(K: SimplicialComplex):
         bits = [1 << (v - 1) for v in verts]
         masks = frozenset(sum(1 << i for i, b in enumerate(bits) if f & b) for f in masks)
     # views, twin tests and leaf encodings are sorted or set-based, so the
-    # facet order does not matter
-    facets = list(map(_positions, masks))
-    incident: list[list[int]] = [[] for _ in verts]
-    for j, face in enumerate(facets):
-        for i in face:
-            incident[i].append(j)
+    # facet order does not matter; in increasing size order, each vertex's
+    # facet sizes come out sorted
+    facets = sorted(map(_positions, masks), key=len)
     # the root colours rank the sorted sizes of each vertex's facets, as one
     # round from the uniform colouring would
-    sizes = list(map(len, facets))
-    facet_sizes = [tuple(sorted(map(sizes.__getitem__, faces))) for faces in incident]
-    distinct = sorted(set(facet_sizes))
-    root = list(map(distinct.index, facet_sizes))
-    return verts, masks, facets, incident, root, len(distinct)
+    facet_sizes: list[list[int]] = [[] for _ in verts]
+    for face in facets:
+        size = len(face)
+        for i in face:
+            facet_sizes[i].append(size)
+    sizes = list(map(tuple, facet_sizes))
+    rank = {s: c for c, s in enumerate(sorted(set(sizes)))}
+    return verts, masks, facets, list(map(rank.__getitem__, sizes)), len(rank)
 
 
 def _canonical_search(K: SimplicialComplex):
@@ -238,13 +240,12 @@ def _canonical_search(K: SimplicialComplex):
 def _search(
     masks: frozenset[int],
     facets: list[tuple[int, ...]],
-    incident: list[list[int]],
     root: list[int],
     count: int,
 ) -> tuple[tuple, list[int]]:
     """The search below the root colouring: (least encoding, labels 1..n of
     the first leaf that attains it), over vertex indices."""
-    n = len(incident)
+    n = len(root)
     # v and w are twins when swapping them maps K onto itself; twins share a
     # root colour, and the relation is an equivalence, so each class is named
     # by its least vertex, and w is tested against the earlier class heads of
@@ -264,6 +265,10 @@ def _search(
         # the root is a twin-class partition, so the search is one leaf
         labels = _twin_leaf(root, count)
         return _encoding(facets, labels), labels
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for j, face in enumerate(facets):
+        for i in face:
+            incident[i].append(j)
     first = best = None  # (encoding, labeling as a list over vertex indices)
     automorphisms: list[list[int]] = []
 
@@ -328,7 +333,7 @@ def canonical_form(K: SimplicialComplex, memo: dict | None = None) -> CanonicalF
     setup = _root(K)
     if setup is None:
         return _form(K, (), 0)
-    verts, masks, facets, incident, root, count = setup
+    verts, masks, facets, root, count = setup
     n = len(verts)
     # the facets relabelled by the vertex order (root colour, index): a
     # complex isomorphic to K, so equal keys have equal encodings
@@ -339,7 +344,7 @@ def canonical_form(K: SimplicialComplex, memo: dict | None = None) -> CanonicalF
     memo = {} if memo is None else memo
     enc = memo.get(key)
     if enc is None:
-        enc = memo[key] = _search(masks, facets, incident, root, count)[0]
+        enc = memo[key] = _search(masks, facets, root, count)[0]
     return _form(K, enc, n)
 
 

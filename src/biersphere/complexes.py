@@ -9,6 +9,7 @@ support of the facets, so the empty complex on m vertices is representable.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
@@ -60,15 +61,18 @@ def submasks(mask: int):
 def ridges_in_two(facets) -> bool:
     """Every codimension-1 subset of a member of the family of masks lies in
     exactly two members."""
-    ridge_count: dict[int, int] = {}
-    for f in facets:
-        rest = f
-        while rest:
-            low = rest & -rest
-            r = f & ~low
-            ridge_count[r] = ridge_count.get(r, 0) + 1
-            rest &= rest - 1
-    return all(c == 2 for c in ridge_count.values())
+
+    # counted from a generator: a list of every ridge of a wide sphere would
+    # raise the peak memory
+    def ridges():
+        for f in facets:
+            rest = f
+            while rest:
+                low = rest & -rest
+                yield f ^ low
+                rest ^= low
+
+    return all(c == 2 for c in Counter(ridges()).values())
 
 
 def h_of_f(f: tuple[int, ...]) -> tuple[int, ...]:

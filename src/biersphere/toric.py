@@ -111,25 +111,34 @@ def det_int(rows: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def bad_facets(facets, Lambda: CharMatrix):
+    """The masks among facets, in the order given, whose column submatrix
+    (column j for ground position j+1) does not have determinant +-1."""
+    n = Lambda.rows
+    for facet in facets:
+        verts = vertices_of(facet)
+        if len(verts) != n:
+            raise ValueError(f"facet of size {len(verts)} against {n} rows")
+        minor = [[Lambda.entries[r][v - 1] for v in verts] for r in range(n)]
+        if det_int(minor) not in (1, -1):
+            yield facet
+
+
 def validate_charmap(
     K: SimplicialComplex, Lambda: CharMatrix
 ) -> tuple[bool, int | None]:
     """Check every facet's column submatrix has determinant +-1.
 
     Column j of the matrix corresponds to ground position j+1.  Returns
-    (True, None) or (False, first offending facet mask).
+    (True, None) or (False, first offending facet mask in increasing mask
+    order), evaluating minors up to that facet.  ``verify.check_buchstaber``
+    passes the union of the census spheres' facets on [m] to
+    ``bad_facets`` instead, so each distinct minor is evaluated once per m.
     """
     if Lambda.cols != K.m:
         raise ValueError("column count must equal the ground-set size")
-    n = Lambda.rows
-    for facet in sorted(K.facets):
-        verts = list(vertices_of(facet))
-        if len(verts) != n:
-            raise ValueError(f"facet of size {len(verts)} against {n} rows")
-        minor = [[Lambda.entries[r][v - 1] for v in verts] for r in range(n)]
-        if det_int(minor) not in (1, -1):
-            return False, facet
-    return True, None
+    bad = next(bad_facets(sorted(K.facets), Lambda), None)
+    return bad is None, bad
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@
 the canonical search on random complexes, and of the nestohedron realizer on
 random building sets."""
 
+from itertools import combinations
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -15,7 +17,7 @@ from biersphere.building import (  # noqa: E402
     validate_building_set,
 )
 from biersphere.classify import _canonical_search, canonical_form  # noqa: E402
-from biersphere.complexes import SimplicialComplex, _antichain  # noqa: E402
+from biersphere.complexes import SimplicialComplex, _antichain, ridges_in_two  # noqa: E402
 from test_bier import deleted_join_oracle  # noqa: E402
 from test_building import assert_matches_oracle  # noqa: E402
 from test_classify import (  # noqa: E402
@@ -117,6 +119,32 @@ def test_memo_answers_as_the_search_does(rng):
         assert canonical_form(K, memo) == canonical_form(K)
         assert canonical_form(L, memo) == canonical_form(L)
         assert canonical_form(L, memo).facets == canonical_form(K, memo).facets
+
+
+@st.composite
+def pure_families(draw):
+    """Distinct k-subsets of [m] as masks, or the facets of a Bier sphere,
+    a family whose every ridge lies in exactly two members."""
+    if draw(st.booleans()):
+        return bier_sphere(draw(non_simplex_complexes(max_m=5))).complex.facets
+    m = draw(st.integers(1, 7))
+    k = draw(st.integers(1, m))
+    members = [sum(1 << i for i in c) for c in combinations(range(m), k)]
+    return frozenset(draw(st.sets(st.sampled_from(members), max_size=12)))
+
+
+def ridges_in_two_oracle(family):
+    """Each codimension-1 subset of a member against every member."""
+    ridges = {f & ~(1 << i) for f in family for i in range(f.bit_length()) if f >> i & 1}
+    return all(sum(1 for f in family if r & f == r and r != f) == 2 for r in ridges)
+
+
+@settings(deadline=None, max_examples=200)
+@given(pure_families())
+@example(frozenset())
+@example(SimplicialComplex.simplex_boundary(4).facets)
+def test_ridges_in_two_matches_the_ridge_count(family):
+    assert ridges_in_two(family) == ridges_in_two_oracle(family)
 
 
 @st.composite

@@ -4,7 +4,7 @@ from itertools import combinations, permutations, product
 import pytest
 
 from biersphere import golden, toric, verify
-from biersphere.classify import enumerate_complexes
+from biersphere.classify import MAX_CENSUS_M, bier_census, enumerate_complexes
 from biersphere.complexes import SimplicialComplex
 from biersphere.toric import (
     CharMatrix,
@@ -279,3 +279,45 @@ def test_check_buchstaber_counts_a_broken_labelling(monkeypatch):
     # every census sphere but the one on which x1 is a ghost has a facet at x1
     assert [r.computed for r in rows] == ["2", "7", "27", "207"]
     assert not any(r.passed for r in rows)
+
+
+def y2_as_x1(m):
+    """The doubled-ground labelling with column y2 replaced by column x1:
+    det 0 on every facet holding y2 together with x1 or y1, so it fails on
+    some facets of a sphere and not on others."""
+    L = bier_charmap(m)
+    return CharMatrix(
+        entries=tuple(tuple(row[0] if j == m + 1 else x for j, x in enumerate(row)) for row in L.entries),
+        labels=L.labels,
+    )
+
+
+def test_check_buchstaber_counts_as_each_sphere_validated(monkeypatch):
+    monkeypatch.setattr(verify, "bier_charmap", y2_as_x1)
+    counts = [int(r.computed) for r in verify.check_buchstaber()]
+    sizes, expected = [], []
+    for m in range(2, MAX_CENSUS_M + 1):
+        census = bier_census(m)
+        sizes.append(len(census))
+        expected.append(sum(1 for _, S in census if not validate_charmap(S, y2_as_x1(m))[0]))
+    assert counts == expected
+    assert any(0 < c < size for c, size in zip(counts, sizes))
+
+
+def test_check_buchstaber_evaluates_each_distinct_minor_once(monkeypatch):
+    facets = distinct = 0
+    for m in range(2, MAX_CENSUS_M + 1):
+        census = bier_census(m)
+        facets += sum(len(S.facets) for _, S in census)
+        distinct += len(set().union(*(S.facets for _, S in census)))
+    assert (facets, distinct) == (5086, 4 + 12 + 32 + 80)
+    calls = []
+    det = toric.det_int
+
+    def counted(rows):
+        calls.append(rows)
+        return det(rows)
+
+    monkeypatch.setattr(toric, "det_int", counted)
+    assert all(r.passed for r in verify.check_buchstaber())
+    assert len(calls) == distinct
