@@ -117,14 +117,19 @@ def bier_mf_formula(K: SimplicialComplex) -> list[int]:
     """MF(Bier(K)) predicted by the closed formula, as masks on 2m positions.
 
     MF(K) on the x side, MF of the dual on the y side, and the pairs x_i y_i
-    over positions non-ghost in both K and the dual.
+    over positions non-ghost in both K and the dual.  By Alexander duality
+    the dual's minimal non-faces are the complements of K's facets, and i is
+    a vertex of the dual exactly when [m] - {i} is not a face of K, so the
+    dual is never built.
     """
-    dual = alexander_dual(K)
+    if K.is_full_simplex:
+        raise FullSimplexError("Alexander dual undefined for the full simplex")
     m = K.m
-    out = [s for s in K.minimal_non_faces()]
-    out.extend(s << m for s in dual.minimal_non_faces())
-    both = K.vertex_mask() & dual.vertex_mask()
-    rest = both
+    full = (1 << m) - 1
+    out = K.minimal_non_faces()
+    out.extend((full & ~f) << m for f in K.facets)
+    # short of the simplex, [m] - {i} is a face of K only as a facet
+    rest = K.vertex_mask() & ~sum(full & ~f for f in K.facets if f.bit_count() == m - 1)
     while rest:
         low = rest & -rest
         out.append(low | (low << m))

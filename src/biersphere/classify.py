@@ -25,16 +25,9 @@ argument above applies.  Refinement stops without a confirming round once
 every non-singleton cell is one twin class: t preserves K and a colouring
 that gives v and w one colour, and refinement commutes with relabelling, so
 the next round gives v and w one colour again, no cell splits and no rank
-moves.  Such a twin-class partition is a leaf in closed form.  Below it,
-each level individualises the least vertex of the first non-singleton cell,
-ranking it after its cell-mates, skips the cell-mates as its twins, and
-refines without a round, so the partition stays a twin-class one.  The
-chain reaches one leaf, which ranks each cell by decreasing vertex index,
-and that leaf is taken at once.  When the root colouring (the ranks of the
-vertices' sorted facet sizes) already is such a partition, as for 5,094 of
-the 7,579 antichains on [5], refinement would stop on it without a round and
-the search would be that one leaf, so it is returned before the search is
-set up; one helper ranks the cells for both exits.
+moves.  Below such a twin-class partition each level keeps one child, as the
+individualised vertex's cell-mates are its twins, and refines without a
+round, so the search runs down one chain to one leaf.
 
 A refinement round needs the views only to order signatures.  Every vertex of
 a cell has the cell's colour c, and every facet through it holds c; dropping
@@ -174,19 +167,6 @@ def _positions(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def _twin_leaf(colors: list[int], count: int) -> list[int]:
-    """Labels 1..n of the one leaf below a twin-class partition: cells in
-    colour order, each ranked by decreasing vertex index."""
-    n = len(colors)
-    if count == n:
-        return [c + 1 for c in colors]
-    labels = [0] * n
-    # a stable sort by colour of the vertices taken in decreasing index order
-    for rank, v in enumerate(sorted(range(n - 1, -1, -1), key=colors.__getitem__), 1):
-        labels[v] = rank
-    return labels
-
-
 def _encoding(facets: list[tuple[int, ...]], labels: list[int]) -> tuple:
     """The sorted relabelled facets of a leaf."""
     return tuple(sorted([tuple(sorted(map(labels.__getitem__, f))) for f in facets]))
@@ -261,10 +241,6 @@ def _search(
                 break
         else:
             same_root.append(w)
-    if len(set(zip(root, twin))) == count:
-        # the root is a twin-class partition, so the search is one leaf
-        labels = _twin_leaf(root, count)
-        return _encoding(facets, labels), labels
     incident: list[list[int]] = [[] for _ in range(n)]
     for j, face in enumerate(facets):
         for i in face:
@@ -290,10 +266,8 @@ def _search(
             best = (enc, labeling)
 
     def descend(colors: list[int], count: int, path: tuple[int, ...]):
-        if count == n or len(set(zip(colors, twin))) == count:
-            # each cell is one twin class (or a singleton): the chain of
-            # descends below ends in one leaf
-            leaf(_twin_leaf(colors, count))
+        if count == n:
+            leaf([c + 1 for c in colors])
             return
         sizes = [0] * count
         for c in colors:

@@ -2,9 +2,10 @@
 
 bench/tracer.py wraps functions by name; a rename under src/ would only
 show as a crash of a traced benchmark run.  bench/workloads.py pins the
-bytes of ``bier classify --m 5``, which otherwise only a benchmark run
-checks, and bench/run.py the traced self-test's call counts.  They are
-loaded here by path and read, never installed.
+bytes of ``bier classify --m 5`` and checks the output of every workload
+operation, which otherwise only a benchmark run does, and bench/run.py the
+traced self-test's call counts.  They are loaded here by path and read,
+never installed.
 """
 
 import hashlib
@@ -15,6 +16,8 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from biersphere.cli import main
 from biersphere.complexes import SimplicialComplex
@@ -65,3 +68,11 @@ def test_traced_self_test_counts_match_the_harness(tmp_path):
     assert child.returncode == 0, child.stderr
     counts = json.loads((tmp_path / "result.json").read_text())["selftest"]
     assert counts == load_bench("run").SELFTEST_EXPECTED
+
+
+@pytest.mark.parametrize("workload", ["nestohedra-n5", "wide-ground"])
+def test_cheap_workloads_pass_their_own_checks(workload, tmp_path):
+    # each operation raises when a name, a return shape or a result that the
+    # workload reads from the package changes
+    for _, op in load_bench("workloads").WORKLOADS[workload](1, tmp_path):
+        op()

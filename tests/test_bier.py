@@ -171,6 +171,19 @@ def test_bier_rejects_simplex():
         bier_sphere(SimplicialComplex.simplex(3))
 
 
+def bier_mf_formula_oracle(K):
+    """The closed formula read off the dual itself: MF(K) on the x side,
+    MF(K^) on the y side, and x_i y_i over the vertices of both."""
+    dual = alexander_dual(K)
+    m = K.m
+    out = K.minimal_non_faces()
+    out.extend(s << m for s in dual.minimal_non_faces())
+    both = K.vertex_mask() & dual.vertex_mask()
+    out.extend(1 << (v - 1) | 1 << (m + v - 1) for v in vertices_of(both))
+    out.sort(key=lambda x: (x.bit_count(), x))
+    return out
+
+
 def test_mf_formula_matches_direct_computation():
     for m in (2, 3, 4):
         for K in enumerate_complexes(m):

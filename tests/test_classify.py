@@ -236,15 +236,28 @@ def test_vertex_cap_holds_for_full_symmetry(monkeypatch):
         assert calls[0] <= n**3
 
 
-def test_one_twin_class_is_answered_before_refinement(monkeypatch):
+def count_leaves(monkeypatch):
+    """Each leaf of a search, and nothing else, encodes the facets once."""
+    calls = [0]
+    encoding = classify._encoding
+
+    def counted(*args):
+        calls[0] += 1
+        return encoding(*args)
+
+    monkeypatch.setattr(classify, "_encoding", counted)
+    return calls
+
+
+def test_one_twin_class_is_one_leaf(monkeypatch):
     # all twelve vertices are twins: the root partition is one twin class, so
-    # the root is a leaf in closed form, returned before any refinement
+    # each level below it keeps one child and the search is a single leaf
     n = MAX_CANON_VERTICES
-    calls = count_refinements(monkeypatch)
+    leaves = count_leaves(monkeypatch)
     for K in fully_symmetric(n):
-        calls[0] = 0
+        leaves[0] = 0
         canonical_form(K)
-        assert calls[0] == 0
+        assert leaves[0] == 1
 
 
 def cross_polytope(d):
@@ -255,17 +268,18 @@ def cross_polytope(d):
 
 
 def test_cross_polytope_work_is_pinned(monkeypatch):
-    # twelve vertices, no twins and a vertex-transitive group of order
-    # 2^6 * 6!: only the automorphisms that leaves reveal prune the search
+    # twelve vertices in six twin pairs {i, i + 6} and a vertex-transitive
+    # group of order 2^6 * 6!: twins and the automorphisms that leaves
+    # reveal prune the search to 30 leaves
     K = cross_polytope(6)
     rng = random.Random(29)
-    calls = count_refinements(monkeypatch)
+    leaves = count_leaves(monkeypatch)
     forms = set()
     for _ in range(3):
         p = rng.sample(range(1, 13), 12)
-        calls[0] = 0
+        leaves[0] = 0
         forms.add(canonical_form(relabel(K, {i + 1: p[i] for i in range(12)})))
-        assert calls[0] == 59
+        assert leaves[0] == 30
     assert len(forms) == 1
 
 
@@ -339,18 +353,15 @@ def test_census_searches_once_per_relabelling_class(monkeypatch):
 def test_pruned_search_matches_brute_force_on_every_antichain(monkeypatch):
     # each antichain on [4] as the census gives it, and relabelled onto a
     # random 4-subset of [6], which brings ghosts and a support other than
-    # 1..n: both ways into index space, the root exit and the full search
+    # 1..n: both ways into index space
     rng = random.Random(31)
-    calls = count_refinements(monkeypatch)
-    refined, index_space = set(), set()
+    index_space = set()
     for K in census_inputs(monkeypatch, 4):
         for J in (K, onto_ground(K, 6, rng)):
-            calls[0] = 0
             assert _canonical_search(J) == brute_force_canonical_search(J)
             support = J.vertex_mask()
-            refined.add(calls[0] > 0)
             index_space.add(support == (1 << support.bit_count()) - 1)
-    assert refined == index_space == {False, True}
+    assert index_space == {False, True}
 
 
 def test_census_searches_one_sphere_per_dual_pair(monkeypatch):

@@ -10,7 +10,12 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from biersphere.bier import alexander_dual, bier_sphere, deleted_join  # noqa: E402
+from biersphere.bier import (  # noqa: E402
+    alexander_dual,
+    bier_mf_formula,
+    bier_sphere,
+    deleted_join,
+)
 from biersphere.building import (  # noqa: E402
     _forest_orderings,
     realize_nestohedron,
@@ -18,7 +23,7 @@ from biersphere.building import (  # noqa: E402
 )
 from biersphere.classify import _canonical_search, canonical_form  # noqa: E402
 from biersphere.complexes import SimplicialComplex, _antichain, ridges_in_two  # noqa: E402
-from test_bier import deleted_join_oracle  # noqa: E402
+from test_bier import bier_mf_formula_oracle, deleted_join_oracle  # noqa: E402
 from test_building import assert_matches_oracle  # noqa: E402
 from test_classify import (  # noqa: E402
     brute_force_canonical_search,
@@ -61,6 +66,16 @@ def test_minimal_non_faces_rebuild_the_complex(K):
 @given(non_simplex_complexes(max_m=8))
 def test_alexander_dual_is_an_involution(K):
     assert alexander_dual(alexander_dual(K)) == K
+
+
+@settings(deadline=None, max_examples=200)
+@given(non_simplex_complexes(max_m=8))
+@example(SimplicialComplex.empty(4))
+@example(SimplicialComplex.simplex_boundary(5))
+@example(SimplicialComplex.from_facets(6, [[1, 2, 3, 4, 5], [6]]))  # ghosts of the dual
+@example(SimplicialComplex.from_facets(6, [[1, 2], [2, 3]]))  # ghosts of K
+def test_mf_formula_matches_the_dual_oracle(K):
+    assert bier_mf_formula(K) == bier_mf_formula_oracle(K)
 
 
 @st.composite
