@@ -104,6 +104,8 @@ def bier_sphere(K: SimplicialComplex) -> BierSphere:
     if K.m < 2:
         raise ValueError("Bier sphere needs ground size m >= 2")
     _check_doubled_ground(K.m)
+    if K.is_full_simplex:
+        raise FullSimplexError("Bier sphere undefined for the full simplex")
     dual = alexander_dual(K)
     B = deleted_join(K, dual)
     m = K.m

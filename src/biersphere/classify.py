@@ -62,7 +62,10 @@ Bier(K) with the x and y sides swapped, since K^^ = K and the deleted join
 is symmetric, and relabelling [m] commutes with the dual and the join, so
 classes with isomorphic duals have isomorphic spheres.  ``classify_bier``
 finds the dual's class of each class it searches among the census forms;
-when that class comes later, it takes the searched sphere's form.
+when that class comes later, it takes the searched sphere's form.  A type's
+minimal non-faces come from ``bier_mf_formula`` of its first source complex,
+the formula that ``verify.check_mf_formula`` checks against every census
+sphere's own minimal non-faces.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .bier import alexander_dual, bier_sphere, render_mf
+from .bier import alexander_dual, bier_mf_formula, bier_sphere, render_mf
 from .complexes import SimplicialComplex, h_of_f, vertices_of
 
 MAX_CANON_VERTICES = 12
@@ -436,7 +439,7 @@ def classify_bier(m: int) -> ClassificationReport:
         if form is None:
             form = canonical_form(sphere)
             shared[index[canonical_form(alexander_dual(K))]] = form
-        entry = groups.setdefault(form, {"sphere": sphere, "sources": []})
+        entry = groups.setdefault(form, {"source": K, "sphere": sphere, "sources": []})
         entry["sources"].append(idx)
 
     lookup = golden.sphere_index_by_canonical_form() if m == 4 else {}
@@ -444,7 +447,7 @@ def classify_bier(m: int) -> ClassificationReport:
     for form, entry in groups.items():
         sphere = entry["sphere"]
         f = sphere.f_vector()
-        mf = sphere.minimal_non_faces()
+        mf = bier_mf_formula(entry["source"])
         key = (tuple(-x for x in f), len(mf), form)
         classes.append((key, form, sphere, f, mf, tuple(entry["sources"])))
     classes.sort(key=lambda t: t[0])

@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 parse or IO error, 2 violated domain precondition,
-3 verification failure.
+3 verification failure.  Every refusal of a well-formed input, by the library
+or by a command, is a ValueError, and ``main`` alone maps it to exit 2.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .bier import FullSimplexError, alexander_dual, bier_sphere, render_mf
+from .bier import alexander_dual, bier_sphere, render_mf
 from .building import (
     BuildingSet,
     BuildingSetError,
@@ -19,7 +20,7 @@ from .building import (
     realize_nestohedron,
     write_off,
 )
-from .classify import MAX_CENSUS_M, classify_bier
+from .classify import classify_bier
 from .complexes import MAX_GROUND, SimplicialComplex, euler_of_f, h_of_f, json_int, vertices_of
 from .toric import (
     CharMatrix,
@@ -38,13 +39,16 @@ EXIT_VERIFY = 3
 
 
 class CliError(Exception):
+    """A read or write failure (exit 1) or a failed verification (exit 3)."""
+
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
 
 
 def _load(path: str, parse, what: str):
-    """parse(obj) of the JSON file at path; any failure is a CliError."""
+    """parse(obj) of the JSON file at path; a malformed file is a CliError,
+    a well-formed but refused building set passes through."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
@@ -52,8 +56,8 @@ def _load(path: str, parse, what: str):
         raise CliError(EXIT_PARSE, f"cannot read {path}: {exc}")
     try:
         return parse(obj)
-    except BuildingSetError as exc:
-        raise CliError(EXIT_DOMAIN, str(exc))
+    except BuildingSetError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(EXIT_PARSE, f"bad {what} JSON in {path}: {exc}")
 
@@ -61,8 +65,10 @@ def _load(path: str, parse, what: str):
 def _load_building(path: str, nerve: bool) -> BuildingSet:
     B = _load(path, BuildingSet.from_json_obj, "building set")
     n = len(B.proper_elements())  # the facets of the nestohedron, the vertices of its nerve
+    if nerve and n == 0:
+        raise ValueError("the nerve is empty: a building set on [1] has no proper element")
     if nerve and n > MAX_GROUND:
-        raise CliError(EXIT_DOMAIN, f"a nerve of {n} vertices exceeds the {MAX_GROUND}-label cap")
+        raise ValueError(f"a nerve of {n} vertices exceeds the {MAX_GROUND}-label cap")
     return B
 
 
@@ -93,21 +99,13 @@ def _out_dir(path: str) -> Path:
 
 def cmd_dual(args) -> int:
     K = _load(args.input, SimplicialComplex.from_json_obj, "complex")
-    try:
-        _emit(alexander_dual(K).to_json_obj())
-    except FullSimplexError:
-        raise CliError(EXIT_DOMAIN, "Alexander dual undefined for the full simplex")
+    _emit(alexander_dual(K).to_json_obj())
     return EXIT_OK
 
 
 def cmd_sphere(args) -> int:
     K = _load(args.input, SimplicialComplex.from_json_obj, "complex")
-    try:
-        _emit(bier_sphere(K).to_json_obj())
-    except FullSimplexError:
-        raise CliError(EXIT_DOMAIN, "Bier sphere undefined for the full simplex")
-    except ValueError as exc:
-        raise CliError(EXIT_DOMAIN, str(exc))
+    _emit(bier_sphere(K).to_json_obj())
     return EXIT_OK
 
 
@@ -118,12 +116,9 @@ def cmd_invariants(args) -> int:
         return K, None if source_m is None else json_int(source_m)
 
     K, source_m = _load(args.input, parse, "complex")
-    try:
-        f = K.f_vector()
-    except ValueError as exc:  # DegenerateComplexError
-        raise CliError(EXIT_DOMAIN, str(exc))
+    f = K.f_vector()
     if not K.is_pure():
-        raise CliError(EXIT_DOMAIN, "h-vector requires a pure complex")
+        raise ValueError("h-vector requires a pure complex")
     mf = K.minimal_non_faces()
     if source_m is not None and 2 * source_m == K.m:
         rendered = render_mf(mf, source_m)
@@ -143,10 +138,8 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    if not 2 <= args.m <= MAX_CENSUS_M:
-        raise CliError(EXIT_DOMAIN, f"classification supported for 2 <= m <= {MAX_CENSUS_M}")
+    report = classify_bier(args.m)  # refuses m out of range before a directory is made
     out = _out_dir(args.out)
-    report = classify_bier(args.m)
     classes = []
     for idx, c in enumerate(report.classes, start=1):
         name = f"S_{c.golden_index}" if c.golden_index else f"class_{idx}"
@@ -199,10 +192,7 @@ def cmd_classify(args) -> int:
 def cmd_charmap(args) -> int:
     if args.bier:
         K = _load(args.bier, SimplicialComplex.from_json_obj, "complex")
-        try:
-            cert = buchstaber_certificate(K)
-        except (FullSimplexError, ValueError) as exc:
-            raise CliError(EXIT_DOMAIN, str(exc))
+        cert = buchstaber_certificate(K)
         if cert.bad_facet is not None:
             raise CliError(
                 EXIT_VERIFY, f"validation failed on facet {list(vertices_of(cert.bad_facet))}"
@@ -211,10 +201,7 @@ def cmd_charmap(args) -> int:
         print(f"validation PASS, s={cert.upper_bound}", file=sys.stderr)
     else:
         B = _load_building(args.building, nerve=True)
-        try:
-            Lambda = fenn_charmap(B)
-        except BuildingSetError as exc:
-            raise CliError(EXIT_DOMAIN, str(exc))
+        Lambda = fenn_charmap(B)
         nerve = nerve_of_realization(realize_nestohedron(B))
         ok, bad = validate_charmap(nerve.complex, Lambda.on(nerve.labels))
         if not ok:
@@ -227,13 +214,8 @@ def cmd_charmap(args) -> int:
 def cmd_nestohedron(args) -> int:
     B = _load_building(args.input, nerve=bool(args.nerve))
     if args.off and B.n_plus_1 != 4:
-        raise CliError(
-            EXIT_DOMAIN, f"OFF export needs a 3-polytope (n_plus_1 = 4), got {B.n_plus_1}"
-        )
-    try:
-        R = realize_nestohedron(B)
-    except BuildingSetError as exc:
-        raise CliError(EXIT_DOMAIN, str(exc))
+        raise ValueError(f"OFF export needs a 3-polytope (n_plus_1 = 4), got {B.n_plus_1}")
+    R = realize_nestohedron(B)
     if args.off:
         _write(args.off, write_off(R))
         _write(args.off + ".json", _json_text(R.to_json_obj()))
@@ -248,10 +230,7 @@ def cmd_nestohedron(args) -> int:
 
 def cmd_orientable(args) -> int:
     Lambda = _load(args.input, CharMatrix.from_json_obj, "matrix")
-    try:
-        witness = small_cover_orientable(Lambda)
-    except ValueError as exc:
-        raise CliError(EXIT_DOMAIN, str(exc))
+    witness = small_cover_orientable(Lambda)
     _emit(
         {
             "orientable": witness is not None,
@@ -264,11 +243,7 @@ def cmd_orientable(args) -> int:
 def cmd_betti(args) -> int:
     K = _load(args.complex, SimplicialComplex.from_json_obj, "complex")
     Lambda = _load(args.matrix, CharMatrix.from_json_obj, "matrix")
-    try:
-        pres = cohomology_presentation(K, Lambda)
-    except ValueError as exc:
-        raise CliError(EXIT_DOMAIN, str(exc))
-    _emit(pres.to_json_obj())
+    _emit(cohomology_presentation(K, Lambda).to_json_obj())
     return EXIT_OK
 
 
@@ -346,6 +321,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except ValueError as exc:  # a refused input, from the library or a command
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

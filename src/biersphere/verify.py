@@ -157,6 +157,10 @@ def _census_rows(label: str, failed) -> list[CheckRow]:
 
 
 def check_mf_formula() -> list[CheckRow]:
+    """``bier_mf_formula(K)`` against the minimal non-faces listed from each
+    census sphere's facets.  ``classify_bier`` takes its MF column from the
+    formula, so this side reads the spheres and never the classification."""
+
     def failed(K, S):
         return set(bier_mf_formula(K)) != set(S.minimal_non_faces())
 

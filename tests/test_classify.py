@@ -4,7 +4,7 @@ from itertools import combinations, product
 import pytest
 
 from biersphere import classify, golden, verify
-from biersphere.bier import bier_sphere
+from biersphere.bier import bier_sphere, render_mf
 from biersphere.classify import (
     MAX_CANON_VERTICES,
     _canonical_search,
@@ -396,6 +396,16 @@ def test_classification_matches_one_search_per_sphere():
     for m in range(2, 6):
         got = [(c.representative, c.source_indices) for c in classify_bier(m).classes]
         assert sorted(got, key=lambda t: t[1]) == grouped_by_one_search_per_sphere(m)
+
+
+def test_classification_mf_column_matches_each_sphere():
+    # the MF column comes from the closed formula of a source complex; the
+    # sphere's own minimal non-faces are the oracle
+    for m in range(2, 6):
+        for c in classify_bier(m).classes:
+            mf = c.representative.minimal_non_faces()
+            assert c.mf_rendered == tuple(render_mf(mf, m))
+            assert c.flag == c.representative.is_flag()
 
 
 def test_ten_vertex_witness_of_a_rigid_complex():

@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import biersphere
 from biersphere import golden
 from biersphere.cli import main
 
@@ -365,3 +370,100 @@ def test_unwritable_output_file_in_out_dir(capsys, tmp_path, argv, name):
     (tmp_path / name).mkdir()
     err = write_error(capsys, *argv, "--out", str(tmp_path))
     assert name in err
+
+
+FULL4 = {"m": 4, "facets": [[1, 2, 3, 4]]}
+TRIANGLE = {"m": 3, "facets": [[1, 2], [1, 3], [2, 3]]}
+DISCONNECTED = {"n_plus_1": 3, "elements": [[1], [2], [3]]}
+ON_1 = {"n_plus_1": 1, "elements": [[1]]}  # no proper element: its nestohedron is a point
+ROWS_4 = {"rows": 4, "cols": 1, "entries": [[1], [0], [0], [0]], "labels": ["a"]}
+M13 = golden.appendix_matrix(13).to_json_obj()
+
+# Refused and malformed inputs, run in a directory that holds only the input
+# files: argv, the files, the exit code and a fragment of the reason.
+REFUSED = {
+    "dual-simplex": ("dual k.json", {"k.json": FULL4}, 2, "Alexander dual undefined"),
+    "sphere-simplex": ("sphere k.json", {"k.json": FULL4}, 2, "Bier sphere undefined"),
+    "charmap-bier-simplex": (
+        "charmap --bier k.json", {"k.json": FULL4}, 2, "Bier sphere undefined"
+    ),
+    "sphere-m1": ("sphere k.json", {"k.json": {"m": 1, "facets": [[1]]}}, 2, "m >= 2"),
+    "charmap-bier-m1": ("charmap --bier k.json", {"k.json": {"m": 1, "facets": [[]]}}, 2, "m >= 2"),
+    "sphere-past-the-cap": (
+        "sphere k.json", {"k.json": {"m": 33, "facets": [[1]]}}, 2, "64-label cap"
+    ),
+    "invariants-void": (
+        "invariants k.json", {"k.json": {"m": 4, "facets": [[]]}}, 2, "has no f-vector"
+    ),
+    "invariants-non-pure": (
+        "invariants k.json", {"k.json": {"m": 4, "facets": [[1, 2], [3]]}}, 2, "pure complex"
+    ),
+    "charmap-building-disconnected": (
+        "charmap --building b.json", {"b.json": DISCONNECTED}, 2, "connected building set"
+    ),
+    "nestohedron-disconnected": (
+        "nestohedron b.json", {"b.json": DISCONNECTED}, 2, "connected building set"
+    ),
+    "nestohedron-missing-singleton": (
+        "nestohedron b.json", {"b.json": {"n_plus_1": 2, "elements": [[1], [1, 2]]}}, 2,
+        "missing singleton",
+    ),
+    "nestohedron-nerve-building-on-1": (
+        "nestohedron b.json --nerve n.json", {"b.json": ON_1}, 2, "the nerve is empty"
+    ),
+    "charmap-building-on-1": (
+        "charmap --building b.json", {"b.json": ON_1}, 2, "the nerve is empty"
+    ),
+    "nestohedron-off-not-3d": (
+        "nestohedron b.json --off p.off", {"b.json": ON_1}, 2, "needs a 3-polytope"
+    ),
+    "orientable-4-rows": ("orientable m.json", {"m.json": ROWS_4}, 2, "three rows only"),
+    "betti-shape-mismatch": (
+        "betti k.json m.json", {"k.json": TRIANGLE, "m.json": M13}, 2, "column count"
+    ),
+    "classify-m6": ("classify --m 6 --out cls", {}, 2, "2 <= m <= 5"),
+    "classify-m1": ("classify --m 1 --out cls", {}, 2, "2 <= m <= 5"),
+    "sphere-float-m": (
+        "sphere k.json", {"k.json": {"m": 4.0, "facets": [[1]]}}, 1, "bad complex JSON"
+    ),
+    "betti-declared-shape": (
+        "betti k.json m.json", {"k.json": TRIANGLE, "m.json": {**M13, "cols": 5}}, 1,
+        "declared shape",
+    ),
+}
+
+
+def refused_case(tmp_path, name):
+    argv, inputs, code, reason = REFUSED[name]
+    for file, obj in inputs.items():
+        write(tmp_path / file, obj)
+    return argv.split(), inputs, code, reason
+
+
+def assert_refused(tmp_path, inputs, code, reason, result):
+    """The expected exit, the reason on stderr, nothing on stdout and no
+    file written."""
+    assert result[:2] == (code, "")
+    err = result[2]
+    assert err.startswith("error:") and reason in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs)
+
+
+@pytest.mark.parametrize("name", REFUSED)
+def test_refused_input(capsys, tmp_path, monkeypatch, name):
+    argv, inputs, code, reason = refused_case(tmp_path, name)
+    monkeypatch.chdir(tmp_path)
+    assert_refused(tmp_path, inputs, code, reason, run(capsys, *argv))
+
+
+def test_refused_input_through_module_entry(tmp_path):
+    argv, inputs, code, reason = refused_case(tmp_path, "charmap-building-on-1")
+    path = [str(Path(biersphere.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "biersphere.cli", *argv],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+    )
+    assert_refused(tmp_path, inputs, code, reason, (proc.returncode, proc.stdout, proc.stderr))
