@@ -40,32 +40,36 @@ confirming round, forms none.
 
 The census takes a form of every antichain on [m], 7,579 on [5], but
 searches only once per relabelling class.  ``canonical_form`` takes an
-optional memo from a key to an encoding.  The key is K's facets in index
-space relabelled by the vertex order (root colour, index), so it is the
-facet set of a complex isomorphic to K: equal keys mean isomorphic
-complexes, whose encodings are equal because the encoding is an
-isomorphism invariant.  The ghost count is still read from K.  The key is
-taken right after the root colours, so a hit skips the twin tests and the
-search, and builds no per-vertex incidence lists, which only the search
-reads; on [5], 345 keys are searched and the other 7,234 forms are hits.
-The memo is exact for any batch, but it pays only where many inputs are
-relabellings of few, so ``_enumerate_cached`` creates one per m and drops
-it on return; a memo for the whole process would also keep every later
-search, the census spheres included, for as long as the process runs.
-A call without a memo takes a fresh one, so every call takes the key; a
-key costs about 2% of a census sphere's set-up and search and 12% of an
-antichain dual's, a few milliseconds over the calls a census makes outside
-it.
+optional memo from a key to a form.  The key is K's ground size and its
+facets in index space relabelled by the vertex order (root colour, index),
+so equal keys mean isomorphic complexes on grounds of one size, whose forms
+are equal: the encoding is an isomorphism invariant, and the ghost count
+is the ground size less the vertex count.  The root colours rank each
+vertex's sorted facet sizes, so a stable sort of the vertices by those
+sizes gives the same order, and the key is taken before any colour is
+ranked.  A hit therefore skips the ranking, the twin tests and the search,
+builds no per-vertex incidence lists, which only the search reads, and
+returns the stored form; on [5], 345 keys are searched and the other 7,234
+forms are hits.  The memo is exact for any batch, but it pays only where
+many inputs are relabellings of few, so each enumeration on [m] creates a
+fresh one.  It is kept (345 entries on [5]) for ``classify_bier``, whose
+dual lookups it answers; a memo for every call would also keep each later
+search, the census spheres included, for as long as the process runs.  A
+call without a memo takes a fresh one, so every call takes the key; a key
+costs about 2% of a census sphere's set-up and search, a few milliseconds
+over the spheres a census searches.
 
 The census searches one Bier sphere per pair of dual classes.  Bier(K^) is
 Bier(K) with the x and y sides swapped, since K^^ = K and the deleted join
 is symmetric, and relabelling [m] commutes with the dual and the join, so
 classes with isomorphic duals have isomorphic spheres.  ``classify_bier``
-finds the dual's class of each class it searches among the census forms;
-when that class comes later, it takes the searched sphere's form.  A type's
-minimal non-faces come from ``bier_mf_formula`` of its first source complex,
-the formula that ``verify.check_mf_formula`` checks against every census
-sphere's own minimal non-faces.
+takes the dual's form of each class it searches from the enumeration's
+memo, which holds the key of every antichain on [m], and finds the dual's
+class among the census forms; when that class comes later, it takes the
+searched sphere's form.  A type's minimal non-faces come from
+``bier_mf_formula`` of its first source complex, the formula that
+``verify.check_mf_formula`` checks against every census sphere through
+Alexander duality.
 """
 
 from __future__ import annotations
@@ -177,8 +181,8 @@ def _encoding(facets: list[tuple[int, ...]], labels: list[int]) -> tuple:
 
 def _root(K: SimplicialComplex):
     """The set-up of a search, in index space: (non-ghost labels, facet
-    masks over vertex indices, their positions, root colours, colour
-    count), or None when K has no vertex."""
+    masks over vertex indices, their positions, each vertex's sorted facet
+    sizes), or None when K has no vertex."""
     support = K.vertex_mask()
     n = support.bit_count()
     if n > MAX_CANON_VERTICES:
@@ -198,16 +202,20 @@ def _root(K: SimplicialComplex):
     # facet order does not matter; in increasing size order, each vertex's
     # facet sizes come out sorted
     facets = sorted(map(_positions, masks), key=len)
-    # the root colours rank the sorted sizes of each vertex's facets, as one
-    # round from the uniform colouring would
     facet_sizes: list[list[int]] = [[] for _ in verts]
     for face in facets:
         size = len(face)
         for i in face:
             facet_sizes[i].append(size)
+    return verts, masks, facets, facet_sizes
+
+
+def _root_search(masks, facets, facet_sizes: list[list[int]]):
+    """``_search`` from the root colours, which rank the sorted sizes of
+    each vertex's facets, as one round from the uniform colouring would."""
     sizes = list(map(tuple, facet_sizes))
     rank = {s: c for c, s in enumerate(sorted(set(sizes)))}
-    return verts, masks, facets, list(map(rank.__getitem__, sizes)), len(rank)
+    return _search(masks, facets, list(map(rank.__getitem__, sizes)), len(rank))
 
 
 def _canonical_search(K: SimplicialComplex):
@@ -216,7 +224,7 @@ def _canonical_search(K: SimplicialComplex):
     if setup is None:
         return (), {}
     verts, *search = setup
-    enc, labels = _search(*search)
+    enc, labels = _root_search(*search)
     return enc, dict(zip(verts, labels))
 
 
@@ -310,19 +318,20 @@ def canonical_form(K: SimplicialComplex, memo: dict | None = None) -> CanonicalF
     setup = _root(K)
     if setup is None:
         return _form(K, (), 0)
-    verts, masks, facets, root, count = setup
+    verts, masks, facets, sizes = setup
     n = len(verts)
-    # the facets relabelled by the vertex order (root colour, index): a
-    # complex isomorphic to K, so equal keys have equal encodings
+    # the facets relabelled by the vertex order (root colour, index), which
+    # a stable sort by the sizes that the root colours rank gives: a complex
+    # isomorphic to K, so equal keys, ground size included, have equal forms
     bit = [0] * n
-    for i, v in enumerate(sorted(range(n), key=root.__getitem__)):
+    for i, v in enumerate(sorted(range(n), key=sizes.__getitem__)):
         bit[v] = 1 << i
-    key = tuple(sorted(sum(map(bit.__getitem__, face)) for face in facets))
+    key = (K.m, tuple(sorted(sum(map(bit.__getitem__, face)) for face in facets)))
     memo = {} if memo is None else memo
-    enc = memo.get(key)
-    if enc is None:
-        enc = memo[key] = _search(masks, facets, root, count)[0]
-    return _form(K, enc, n)
+    form = memo.get(key)
+    if form is None:
+        form = memo[key] = _form(K, _root_search(masks, facets, sizes)[0], n)
+    return form
 
 
 def isomorphic(K1: SimplicialComplex, K2: SimplicialComplex) -> dict[int, int] | None:
@@ -353,6 +362,11 @@ def enumerate_complexes(m: int) -> list[SimplicialComplex]:
     return [K for _, K in _enumerate_cached(m)]
 
 
+# m -> the memo of the latest enumeration on [m], which holds the key of
+# every antichain on [m] but the simplex
+_CENSUS_MEMOS: dict[int, dict] = {}
+
+
 @lru_cache(maxsize=None)
 def _enumerate_cached(m: int) -> tuple[tuple[CanonicalForm, SimplicialComplex], ...]:
     """(form, representative) per class on [m], in increasing form order."""
@@ -373,7 +387,9 @@ def _enumerate_cached(m: int) -> tuple[tuple[CanonicalForm, SimplicialComplex], 
             if not blocked >> s & 1:
                 yield from antichains(chosen + (s,), s + 1, blocked | comparable[s])
 
-    memo: dict = {}  # one search per relabelling class, for this m only
+    # one search per relabelling class; a fresh memo per enumeration, kept
+    # for classify_bier's dual lookups
+    memo = _CENSUS_MEMOS[m] = {}
     seen: dict[CanonicalForm, SimplicialComplex] = {}
     for chain in antichains((), 1, 0):
         if chain == (full,):
@@ -432,13 +448,14 @@ def classify_bier(m: int) -> ClassificationReport:
         raise ValueError(f"classification supported for 2 <= m <= {MAX_CENSUS_M}")
     census = bier_census(m)
     index = {form: i for i, (form, _) in enumerate(_enumerate_cached(m))}
+    memo = _CENSUS_MEMOS[m]  # a dual is an antichain on [m], so a hit
     shared: dict[int, CanonicalForm] = {}  # class -> the sphere form of its dual
     groups: dict[CanonicalForm, dict] = {}
     for idx, (K, sphere) in enumerate(census):
         form = shared.get(idx)
         if form is None:
             form = canonical_form(sphere)
-            shared[index[canonical_form(alexander_dual(K))]] = form
+            shared[index[canonical_form(alexander_dual(K), memo)]] = form
         entry = groups.setdefault(form, {"source": K, "sphere": sphere, "sources": []})
         entry["sources"].append(idx)
 

@@ -21,7 +21,15 @@ from .building import (
     write_off,
 )
 from .classify import classify_bier
-from .complexes import MAX_GROUND, SimplicialComplex, euler_of_f, h_of_f, json_int, vertices_of
+from .complexes import (
+    MAX_GROUND,
+    LabelCapError,
+    SimplicialComplex,
+    euler_of_f,
+    h_of_f,
+    json_int,
+    vertices_of,
+)
 from .toric import (
     CharMatrix,
     buchstaber_certificate,
@@ -48,7 +56,7 @@ class CliError(Exception):
 
 def _load(path: str, parse, what: str):
     """parse(obj) of the JSON file at path; a malformed file is a CliError,
-    a well-formed but refused building set passes through."""
+    a well-formed but refused building set or ground size passes through."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
@@ -56,7 +64,7 @@ def _load(path: str, parse, what: str):
         raise CliError(EXIT_PARSE, f"cannot read {path}: {exc}")
     try:
         return parse(obj)
-    except BuildingSetError:
+    except (BuildingSetError, LabelCapError):
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(EXIT_PARSE, f"bad {what} JSON in {path}: {exc}")

@@ -16,6 +16,10 @@ from math import comb
 MAX_GROUND = 64
 
 
+class LabelCapError(ValueError):
+    """A ground set of more than MAX_GROUND labels, which a mask cannot hold."""
+
+
 class DegenerateComplexError(ValueError):
     """Raised for operations undefined on the empty complex (dimension -1)."""
 
@@ -119,7 +123,9 @@ class SimplicialComplex:
     facets: frozenset[int]
 
     def __post_init__(self):
-        if not 1 <= self.m <= MAX_GROUND:
+        if self.m > MAX_GROUND:
+            raise LabelCapError(f"ground size {self.m} exceeds the {MAX_GROUND}-label cap")
+        if self.m < 1:
             raise ValueError(f"ground size must be in 1..{MAX_GROUND}, got {self.m}")
         full = (1 << self.m) - 1
         for f in self.facets:

@@ -28,7 +28,7 @@ from .classify import (
     classify_bier,
     enumerate_complexes,
 )
-from .complexes import euler_of_f, h_of_f, ridges_in_two
+from .complexes import SimplicialComplex, _antichain, euler_of_f, h_of_f, ridges_in_two
 from .toric import (
     CharMatrix,
     bad_facets,
@@ -156,13 +156,38 @@ def _census_rows(label: str, failed) -> list[CheckRow]:
     ]
 
 
+def is_mf_of(sets, S: SimplicialComplex) -> bool:
+    """Whether the family ``sets``, taken as a set, is exactly MF(S), for S
+    not the full simplex, checked through Alexander duality without listing
+    MF(S) (see ``check_mf_formula``)."""
+    L = set(sets)
+    full = (1 << S.m) - 1
+    comps = frozenset(full & ~s for s in L)
+    if not L or 0 in L or _antichain(comps) != comps:
+        return False
+    return alexander_dual(SimplicialComplex(S.m, comps)) == S
+
+
 def check_mf_formula() -> list[CheckRow]:
-    """``bier_mf_formula(K)`` against the minimal non-faces listed from each
-    census sphere's facets.  ``classify_bier`` takes its MF column from the
-    formula, so this side reads the spheres and never the classification."""
+    """``bier_mf_formula(K)`` against each census sphere S, by ``is_mf_of``.
+    ``classify_bier`` takes its MF column from the formula, so this side
+    reads the spheres and never the classification.
+
+    MF(S) is the set of minimal transversals Tr of the complements of S's
+    facets, and the Alexander dual of a complex has the complements of its
+    minimal non-faces as facets.  Take L, the formula's sets.  When L is a
+    clutter (a nonempty antichain without the empty set), the complex C
+    with facets {full - l : l in L} has MF(C) = Tr(L), so C's dual is S
+    exactly when Tr(L) is the set of complements of S's facets.  Then
+    MF(S) = Tr(Tr(L)) = L, as Tr(Tr(L)) = L for every clutter (Berge,
+    *Hypergraphs*, 1989; Eiter & Gottlob, 1995).  Conversely, L = MF(S)
+    gives Tr(L) = Tr(Tr(complements)) = the complements of S's facets, a
+    clutter too.  MF(S) is a clutter, so an L that is not one is refused
+    outright.  On [5] each sphere's check is then a Berge pass over 14 sets
+    of 2.3 labels on average, not over 23 facet complements of 6 labels."""
 
     def failed(K, S):
-        return set(bier_mf_formula(K)) != set(S.minimal_non_faces())
+        return not is_mf_of(bier_mf_formula(K), S)
 
     return _census_rows("MF formula mismatches", failed)
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from biersphere import bier
+from biersphere import bier, verify
 from biersphere.bier import (
     FullSimplexError,
     alexander_dual,
@@ -14,7 +14,7 @@ from biersphere.bier import (
     render_mf,
     side_label,
 )
-from biersphere.classify import canonical_form, enumerate_complexes
+from biersphere.classify import MAX_CENSUS_M, bier_census, canonical_form, enumerate_complexes
 from biersphere.cli import main
 from biersphere.complexes import SimplicialComplex, _antichain, mask_of, submasks, vertices_of
 
@@ -189,6 +189,48 @@ def test_mf_formula_matches_direct_computation():
         for K in enumerate_complexes(m):
             S = bier_sphere(K)
             assert set(bier_mf_formula(K)) == set(S.complex.minimal_non_faces())
+
+
+def mf_mismatches_oracle(formula):
+    """The MF row's counts per m by direct comparison: the formula's sets
+    against the minimal non-faces listed from each census sphere's facets."""
+    return [
+        str(sum(1 for K, S in bier_census(m) if set(formula(K)) != set(S.minimal_non_faces())))
+        for m in range(2, MAX_CENSUS_M + 1)
+    ]
+
+
+def without_pairs(mf, m):
+    return [s for s in mf if not (s.bit_count() == 2 and s >> m == s & (1 << m) - 1)]
+
+
+def with_superset(mf, m):
+    # the first set and the lowest label outside it
+    free = ~mf[0] & (1 << 2 * m) - 1
+    return mf + [mf[0] | free & -free]
+
+
+# a wrong formula, and the mismatch counts per m = 2..5 the direct
+# comparison gives for it
+MF_MUTATIONS = {
+    "drop the x_i y_i pairs": (without_pairs, ["1", "6", "26", "206"]),
+    "drop the first set": (lambda mf, m: mf[1:], ["3", "8", "28", "208"]),
+    "add one superset": (with_superset, ["3", "8", "28", "208"]),
+    "duplicate a set": (lambda mf, m: mf + mf[:1], ["0", "0", "0", "0"]),
+}
+
+
+@pytest.mark.parametrize("name", MF_MUTATIONS)
+def test_mf_row_counts_what_the_direct_comparison_counts(monkeypatch, name):
+    mutate, expected = MF_MUTATIONS[name]
+
+    def formula(K):
+        return mutate(bier_mf_formula(K), K.m)
+
+    oracle = mf_mismatches_oracle(formula)
+    assert oracle == expected
+    monkeypatch.setattr(verify, "bier_mf_formula", formula)
+    assert [r.computed for r in verify.check_mf_formula()] == oracle
 
 
 def test_ghost_count_formula():

@@ -371,15 +371,24 @@ def test_census_searches_one_sphere_per_dual_pair(monkeypatch):
     bier_census(5)
     grounds = []
 
-    def counted(K):
+    def counted(K, *memo):
         grounds.append(K.m)
-        return canonical_form(K)
+        return canonical_form(K, *memo)
 
     monkeypatch.setattr(classify, "canonical_form", counted)
     classify_bier.__wrapped__(5)
     assert grounds.count(10) == 111
     assert grounds.count(5) == 111
     assert len(grounds) == 222
+
+
+def test_census_duals_are_memo_hits(monkeypatch):
+    # each dual is an antichain on [5] that the enumeration's memo already
+    # holds, so only the 111 spheres are searched
+    bier_census(5)
+    calls = count_searches(monkeypatch)
+    classify_bier.__wrapped__(5)
+    assert calls[0] == 111
 
 
 def grouped_by_one_search_per_sphere(m):

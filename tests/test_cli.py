@@ -392,6 +392,9 @@ REFUSED = {
     "sphere-past-the-cap": (
         "sphere k.json", {"k.json": {"m": 33, "facets": [[1]]}}, 2, "64-label cap"
     ),
+    "sphere-ground-past-the-cap": (
+        "sphere k.json", {"k.json": {"m": 65, "facets": [[1]]}}, 2, "64-label cap"
+    ),
     "invariants-void": (
         "invariants k.json", {"k.json": {"m": 4, "facets": [[]]}}, 2, "has no f-vector"
     ),

@@ -22,7 +22,13 @@ from biersphere.building import (  # noqa: E402
     validate_building_set,
 )
 from biersphere.classify import _canonical_search, canonical_form  # noqa: E402
-from biersphere.complexes import SimplicialComplex, _antichain, ridges_in_two  # noqa: E402
+from biersphere.complexes import (  # noqa: E402
+    SimplicialComplex,
+    _antichain,
+    ridges_in_two,
+    vertices_of,
+)
+from biersphere.verify import is_mf_of  # noqa: E402
 from test_bier import bier_mf_formula_oracle, deleted_join_oracle  # noqa: E402
 from test_building import assert_matches_oracle  # noqa: E402
 from test_classify import (  # noqa: E402
@@ -76,6 +82,21 @@ def test_alexander_dual_is_an_involution(K):
 @example(SimplicialComplex.from_facets(6, [[1, 2], [2, 3]]))  # ghosts of K
 def test_mf_formula_matches_the_dual_oracle(K):
     assert bier_mf_formula(K) == bier_mf_formula_oracle(K)
+
+
+@settings(deadline=None, max_examples=150)
+@given(non_simplex_complexes(max_m=6), st.data())
+def test_duality_check_accepts_exactly_the_minimal_non_faces(K, data):
+    # the formula, less one set, and with a superset of one set added;
+    # the sphere's own minimal non-faces are the oracle
+    S = bier_sphere(K).complex
+    mf = bier_mf_formula(K)
+    i = data.draw(st.integers(0, len(mf) - 1))
+    label = data.draw(st.sampled_from(vertices_of(~mf[i] & (1 << S.m) - 1)))
+    families = [mf, mf[:i] + mf[i + 1 :], mf + [mf[i] | 1 << label - 1]]
+    assert [is_mf_of(L, S) for L in families] == [True, False, False]
+    oracle = set(S.minimal_non_faces())
+    assert [is_mf_of(L, S) for L in families] == [set(L) == oracle for L in families]
 
 
 @st.composite
