@@ -381,6 +381,8 @@ def write_off(R: NestohedronRealization) -> str:
     level hyperplane) so standard 3-coordinate viewers can read the file;
     the comments and the JSON twin keep every exact coordinate.
     """
+    if R.ambient != 4:
+        raise ValueError(f"OFF export needs a 3-polytope (n_plus_1 = 4), got {R.ambient}")
     cycles = _facet_cycles(R)
     lines = ["OFF"]
     edge_count = sum(len(c) for c in cycles) // 2

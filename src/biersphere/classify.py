@@ -52,21 +52,22 @@ builds no per-vertex incidence lists, which only the search reads, and
 returns the stored form; on [5], 345 keys are searched and the other 7,234
 forms are hits.  The memo is exact for any batch, but it pays only where
 many inputs are relabellings of few, so each enumeration on [m] creates a
-fresh one.  It is kept (345 entries on [5]) for ``classify_bier``, whose
-dual lookups it answers; a memo for every call would also keep each later
-search, the census spheres included, for as long as the process runs.  A
-call without a memo takes a fresh one, so every call takes the key; a key
-costs about 2% of a census sphere's set-up and search, a few milliseconds
-over the spheres a census searches.
+fresh one and returns it with its classes, for ``classify_bier``'s dual
+lookups; it lives as long as the cached classes (345 entries on [5]).  A
+memo for every call would also keep each later search, the census spheres
+included, for as long as the process runs.  A call without a memo takes a
+fresh one, so every call takes the key; a key costs about 2% of a census
+sphere's set-up and search, a few milliseconds over the spheres a census
+searches.
 
 The census searches one Bier sphere per pair of dual classes.  Bier(K^) is
 Bier(K) with the x and y sides swapped, since K^^ = K and the deleted join
 is symmetric, and relabelling [m] commutes with the dual and the join, so
 classes with isomorphic duals have isomorphic spheres.  ``classify_bier``
 takes the dual's form of each class it searches from the enumeration's
-memo, which holds the key of every antichain on [m], and finds the dual's
-class among the census forms; when that class comes later, it takes the
-searched sphere's form.  A type's minimal non-faces come from
+memo, which holds the key of every antichain on [m]; that form is the
+dual's class form, and when that class comes later, it takes the searched
+sphere's form.  A type's minimal non-faces come from
 ``bier_mf_formula`` of its first source complex, the formula that
 ``verify.check_mf_formula`` checks against every census sphere through
 Alexander duality.
@@ -210,32 +211,28 @@ def _root(K: SimplicialComplex):
     return verts, masks, facets, facet_sizes
 
 
-def _root_search(masks, facets, facet_sizes: list[list[int]]):
-    """``_search`` from the root colours, which rank the sorted sizes of
-    each vertex's facets, as one round from the uniform colouring would."""
-    sizes = list(map(tuple, facet_sizes))
-    rank = {s: c for c, s in enumerate(sorted(set(sizes)))}
-    return _search(masks, facets, list(map(rank.__getitem__, sizes)), len(rank))
-
-
 def _canonical_search(K: SimplicialComplex):
     """Return (canonical facet encoding, labeling old->new) for non-ghosts."""
     setup = _root(K)
     if setup is None:
         return (), {}
     verts, *search = setup
-    enc, labels = _root_search(*search)
+    enc, labels = _search(*search)
     return enc, dict(zip(verts, labels))
 
 
 def _search(
     masks: frozenset[int],
     facets: list[tuple[int, ...]],
-    root: list[int],
-    count: int,
+    facet_sizes: list[list[int]],
 ) -> tuple[tuple, list[int]]:
-    """The search below the root colouring: (least encoding, labels 1..n of
-    the first leaf that attains it), over vertex indices."""
+    """The search from the root colouring, which ranks the sorted sizes of
+    each vertex's facets as one round from the uniform colouring would:
+    (least encoding, labels 1..n of the first leaf that attains it), over
+    vertex indices."""
+    profiles = list(map(tuple, facet_sizes))
+    rank = {s: c for c, s in enumerate(sorted(set(profiles)))}
+    root = list(map(rank.__getitem__, profiles))
     n = len(root)
     # v and w are twins when swapping them maps K onto itself; twins share a
     # root colour, and the relation is an equivalence, so each class is named
@@ -301,13 +298,8 @@ def _search(
             branched[v] = target + 1
             descend(*_refine(facets, incident, twin, branched, count + 1), path + (v,))
 
-    descend(*_refine(facets, incident, twin, root, count), ())
+    descend(*_refine(facets, incident, twin, root, len(rank)), ())
     return best
-
-
-def _form(K: SimplicialComplex, enc, n: int) -> CanonicalForm:
-    # n is the number of non-ghost vertices
-    return CanonicalForm(K.m - n, K.m, enc)
 
 
 def canonical_form(K: SimplicialComplex, memo: dict | None = None) -> CanonicalForm:
@@ -317,7 +309,7 @@ def canonical_form(K: SimplicialComplex, memo: dict | None = None) -> CanonicalF
     call without one searches as it would with a fresh one."""
     setup = _root(K)
     if setup is None:
-        return _form(K, (), 0)
+        return CanonicalForm(K.m, K.m, ())
     verts, masks, facets, sizes = setup
     n = len(verts)
     # the facets relabelled by the vertex order (root colour, index), which
@@ -330,7 +322,7 @@ def canonical_form(K: SimplicialComplex, memo: dict | None = None) -> CanonicalF
     memo = {} if memo is None else memo
     form = memo.get(key)
     if form is None:
-        form = memo[key] = _form(K, _root_search(masks, facets, sizes)[0], n)
+        form = memo[key] = CanonicalForm(K.m - n, K.m, _search(masks, facets, sizes)[0])
     return form
 
 
@@ -342,7 +334,8 @@ def isomorphic(K1: SimplicialComplex, K2: SimplicialComplex) -> dict[int, int] |
     """
     enc1, lab1 = _canonical_search(K1)
     enc2, lab2 = _canonical_search(K2)
-    if _form(K1, enc1, len(lab1)) != _form(K2, enc2, len(lab2)):
+    form1 = CanonicalForm(K1.m - len(lab1), K1.m, enc1)
+    if form1 != CanonicalForm(K2.m - len(lab2), K2.m, enc2):
         return None
     inv2 = {new: old for old, new in lab2.items()}
     witness = {v: inv2[lab1[v]] for v in lab1}
@@ -359,17 +352,16 @@ def enumerate_complexes(m: int) -> list[SimplicialComplex]:
     Generates every antichain of nonempty subsets (the empty antichain stands
     for the all-ghost complex) and dedupes by canonical form.
     """
-    return [K for _, K in _enumerate_cached(m)]
-
-
-# m -> the memo of the latest enumeration on [m], which holds the key of
-# every antichain on [m] but the simplex
-_CENSUS_MEMOS: dict[int, dict] = {}
+    return [K for _, K in _enumerate_cached(m)[0]]
 
 
 @lru_cache(maxsize=None)
-def _enumerate_cached(m: int) -> tuple[tuple[CanonicalForm, SimplicialComplex], ...]:
-    """(form, representative) per class on [m], in increasing form order."""
+def _enumerate_cached(
+    m: int,
+) -> tuple[tuple[tuple[CanonicalForm, SimplicialComplex], ...], dict]:
+    """(form, representative) per class on [m], in increasing form order,
+    and the memo of the enumeration, which holds the key of every antichain
+    on [m] but the simplex."""
     if not 1 <= m <= MAX_CENSUS_M:
         raise ValueError(f"enumeration supported for 1 <= m <= {MAX_CENSUS_M}")
     full = (1 << m) - 1
@@ -387,9 +379,8 @@ def _enumerate_cached(m: int) -> tuple[tuple[CanonicalForm, SimplicialComplex], 
             if not blocked >> s & 1:
                 yield from antichains(chosen + (s,), s + 1, blocked | comparable[s])
 
-    # one search per relabelling class; a fresh memo per enumeration, kept
-    # for classify_bier's dual lookups
-    memo = _CENSUS_MEMOS[m] = {}
+    # one search per relabelling class
+    memo: dict = {}
     seen: dict[CanonicalForm, SimplicialComplex] = {}
     for chain in antichains((), 1, 0):
         if chain == (full,):
@@ -398,7 +389,7 @@ def _enumerate_cached(m: int) -> tuple[tuple[CanonicalForm, SimplicialComplex], 
         form = canonical_form(K, memo)
         if form not in seen:
             seen[form] = K
-    return tuple((f, seen[f]) for f in sorted(seen))
+    return tuple((f, seen[f]) for f in sorted(seen)), memo
 
 
 @lru_cache(maxsize=None)
@@ -446,40 +437,34 @@ def classify_bier(m: int) -> ClassificationReport:
 
     if not 2 <= m <= MAX_CENSUS_M:
         raise ValueError(f"classification supported for 2 <= m <= {MAX_CENSUS_M}")
+    enumerated, memo = _enumerate_cached(m)  # a dual is an antichain on [m], so a hit
     census = bier_census(m)
-    index = {form: i for i, (form, _) in enumerate(_enumerate_cached(m))}
-    memo = _CENSUS_MEMOS[m]  # a dual is an antichain on [m], so a hit
-    shared: dict[int, CanonicalForm] = {}  # class -> the sphere form of its dual
-    groups: dict[CanonicalForm, dict] = {}
-    for idx, (K, sphere) in enumerate(census):
-        form = shared.get(idx)
+    # class form -> its sphere's form, found by its dual class's search
+    shared: dict[CanonicalForm, CanonicalForm] = {}
+    groups: dict[CanonicalForm, tuple] = {}  # sphere form -> (K, sphere, sources)
+    for idx, ((cls, K), (_, sphere)) in enumerate(zip(enumerated, census)):
+        form = shared.get(cls)
         if form is None:
             form = canonical_form(sphere)
-            shared[index[canonical_form(alexander_dual(K), memo)]] = form
-        entry = groups.setdefault(form, {"source": K, "sphere": sphere, "sources": []})
-        entry["sources"].append(idx)
+            shared[canonical_form(alexander_dual(K), memo)] = form
+        groups.setdefault(form, (K, sphere, []))[2].append(idx)
 
     lookup = golden.sphere_index_by_canonical_form() if m == 4 else {}
-    classes = []
-    for form, entry in groups.items():
-        sphere = entry["sphere"]
+    keyed = []
+    for form, (K, sphere, sources) in groups.items():
         f = sphere.f_vector()
-        mf = bier_mf_formula(entry["source"])
-        key = (tuple(-x for x in f), len(mf), form)
-        classes.append((key, form, sphere, f, mf, tuple(entry["sources"])))
-    classes.sort(key=lambda t: t[0])
-
-    out = []
-    for _, form, sphere, f, mf, sources in classes:
-        out.append(
-            BierClass(
-                representative=sphere,
-                f_vector=f,
-                h_vector=h_of_f(f),
-                mf_rendered=tuple(render_mf(mf, m)),
-                flag=all(s.bit_count() <= 2 for s in mf),
-                source_indices=sources,
-                golden_index=lookup.get(form),
-            )
+        mf = bier_mf_formula(K)
+        bier_class = BierClass(
+            representative=sphere,
+            f_vector=f,
+            h_vector=h_of_f(f),
+            mf_rendered=tuple(render_mf(mf, m)),
+            flag=all(s.bit_count() <= 2 for s in mf),
+            source_indices=tuple(sources),
+            golden_index=lookup.get(form),
         )
-    return ClassificationReport(m=m, total_complexes=len(census), classes=tuple(out))
+        keyed.append(((tuple(-x for x in f), len(mf), form), bier_class))
+    keyed.sort(key=lambda t: t[0])
+    return ClassificationReport(
+        m=m, total_complexes=len(census), classes=tuple(c for _, c in keyed)
+    )

@@ -196,26 +196,16 @@ class SimplicialComplex:
         full = (1 << self.m) - 1
         return vertices_of(full & ~self.vertex_mask())
 
-    def faces(self) -> list[int]:
-        """All faces (masks), including the empty face, each once."""
-        seen = set()
-        for f in self.facets:
-            for s in submasks(f):
-                seen.add(s)
-        return sorted(seen)
-
     # -- invariants ----------------------------------------------------
 
     def f_vector(self) -> tuple[int, ...]:
         """(f_0, ..., f_{dim}); undefined for the empty complex."""
         if self.is_void_of_faces:
             raise DegenerateComplexError("empty complex has no f-vector")
-        counts = [0] * (self.dim + 1)
-        for face in self.faces():
-            k = face.bit_count()
-            if k:
-                counts[k - 1] += 1
-        return tuple(counts)
+        counts = [0] * (self.dim + 2)
+        for face in {s for f in self.facets for s in submasks(f)}:
+            counts[face.bit_count()] += 1
+        return tuple(counts[1:])
 
     def h_vector(self) -> tuple[int, ...]:
         """(h_0, ..., h_n) for a pure complex of dimension n-1.

@@ -104,6 +104,15 @@ def _row(name: str, expected, computed) -> CheckRow:
     return CheckRow(name, str(expected), str(computed), str(expected) == str(computed))
 
 
+def _computed(compute):
+    """compute(), or the ValueError that refused it, which then fails the
+    row with its reason."""
+    try:
+        return compute()
+    except ValueError as exc:
+        return exc
+
+
 def check_enumeration() -> list[CheckRow]:
     return [_row("complex classes on [4]", 28, len(enumerate_complexes(4)))]
 
@@ -229,41 +238,43 @@ def check_buchstaber() -> list[CheckRow]:
 def check_betti() -> list[CheckRow]:
     """Betti numbers on each realized nerve; a matrix that does not fit the
     nerve or is not characteristic there fails the row with its reason."""
-    rows = []
-    for i in range(1, 14):
-        try:
-            _, nerve, Lam = golden_polytope(i)
-            betti = cohomology_presentation(nerve.complex, Lam).betti
-        except ValueError as exc:
-            betti = exc
-        rows.append(_row(f"Betti numbers type {i}", golden.BETTI[i], betti))
-    return rows
+
+    def betti(i):
+        _, nerve, Lam = golden_polytope(i)
+        return cohomology_presentation(nerve.complex, Lam).betti
+
+    return [
+        _row(f"Betti numbers type {i}", golden.BETTI[i], _computed(lambda: betti(i)))
+        for i in range(1, 14)
+    ]
 
 
 def check_appendix_matrices() -> list[CheckRow]:
     rows = []
     for i in golden.NESTOHEDRAL_INDICES:
         A = golden.appendix_matrix(i)
-        try:
+
+        def canonical():
             _, _, F = golden_polytope(i)
-            ok = sorted(F.labels) == sorted(A.labels) and F.on(A.labels) == A
-        except ValueError as exc:
-            ok = exc
-        rows.append(_row(f"canonical matrix type {i}", True, ok))
+            return sorted(F.labels) == sorted(A.labels) and F.on(A.labels) == A
+
+        rows.append(_row(f"canonical matrix type {i}", True, _computed(canonical)))
     A6 = golden.appendix_matrix(6)
     S6 = golden.golden_sphere(6)
-    try:
+
+    def type_6():
         _, nerve, L6 = golden_polytope(6)
         same_columns = sorted(L6.column(j) for j in range(L6.cols)) == sorted(
             A6.column(j) for j in range(A6.cols)
         )
         same_sphere = canonical_form(nerve.complex.with_ground(S6.m)) == canonical_form(S6)
-        delzant = validate_charmap(nerve.complex, L6)[0]
-    except ValueError as exc:
-        same_columns = same_sphere = delzant = exc
-    rows.append(_row("type 6 matrix columns", True, same_columns))
-    rows.append(_row("type 6 nerve", True, same_sphere))
-    rows.append(_row("type 6 Delzant", True, delzant))
+        return same_columns, same_sphere, validate_charmap(nerve.complex, L6)[0]
+
+    got = _computed(type_6)
+    if isinstance(got, ValueError):
+        got = (got,) * 3
+    for name, value in zip(("matrix columns", "nerve", "Delzant"), got):
+        rows.append(_row(f"type 6 {name}", True, value))
     return rows
 
 
@@ -272,16 +283,16 @@ def check_nestohedra() -> list[CheckRow]:
     for i in golden.NESTOHEDRAL_INDICES:
         trunc = nerve_by_truncation(golden.golden_building_set(i))
         S = golden.golden_sphere(i)
-        try:
+
+        def agrees():
             _, nerve, F = golden_polytope(i)
-            ok = (
+            return (
                 canonical_form(nerve.complex.with_ground(S.m)) == canonical_form(S)
                 and trunc.labelled_facets() == nerve.labelled_facets()
                 and validate_charmap(nerve.complex, F)[0]
             )
-        except ValueError as exc:
-            ok = exc
-        rows.append(_row(f"nestohedron type {i}", True, ok))
+
+        rows.append(_row(f"nestohedron type {i}", True, _computed(agrees)))
     return rows
 
 

@@ -368,6 +368,16 @@ def test_off_roundtrip():
     assert body == {tuple(float(c) for c in v[:-1]) for v in R.vertices}
 
 
+@pytest.mark.parametrize("n1", [5, 2])
+def test_off_export_refuses_other_dimensions(n1):
+    # the permutohedron on [5] is 4-dimensional and the segment on [2]
+    # 1-dimensional: neither has 3-coordinate vertices or cyclic facets
+    R = realize_nestohedron(permutohedron_set(n1))
+    reason = rf"OFF export needs a 3-polytope \(n_plus_1 = 4\), got {n1}$"
+    with pytest.raises(ValueError, match=reason):
+        write_off(R)
+
+
 def test_realization_json_roundtrip():
     R = realize_nestohedron(golden.golden_building_set(12))
     again = NestohedronRealization.from_json_obj(R.to_json_obj())

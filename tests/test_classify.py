@@ -343,10 +343,10 @@ def test_census_searches_once_per_relabelling_class(monkeypatch):
     # 7,579 forms on [5] and 166 on [4], but a search only for the first
     # complex of each key (its facets relabelled by root colour, then index)
     calls = count_searches(monkeypatch)
-    assert len(classify._enumerate_cached.__wrapped__(4)) == 28
+    assert len(classify._enumerate_cached.__wrapped__(4)[0]) == 28
     assert calls[0] == 32
     calls[0] = 0
-    assert len(classify._enumerate_cached.__wrapped__(5)) == 208
+    assert len(classify._enumerate_cached.__wrapped__(5)[0]) == 208
     assert calls[0] == 345
 
 
@@ -415,6 +415,22 @@ def test_classification_mf_column_matches_each_sphere():
             mf = c.representative.minimal_non_faces()
             assert c.mf_rendered == tuple(render_mf(mf, m))
             assert c.flag == c.representative.is_flag()
+
+
+def test_classification_order_and_vectors():
+    # classes run by (f-vector descending, number of minimal non-faces,
+    # sphere form), all distinct, and carry their representative's own f-
+    # and h-vectors
+    for m in range(2, 6):
+        classes = classify_bier(m).classes
+        keys = []
+        for c in classes:
+            S = c.representative
+            f = S.f_vector()
+            assert c.f_vector == f
+            assert c.h_vector == S.h_vector()
+            keys.append((tuple(-x for x in f), len(S.minimal_non_faces()), canonical_form(S)))
+        assert keys == sorted(set(keys))
 
 
 def test_ten_vertex_witness_of_a_rigid_complex():
