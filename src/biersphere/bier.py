@@ -99,20 +99,105 @@ class BierSphere:
         return cls(SimplicialComplex.from_json_obj(obj), json_int(obj["source_m"]))
 
 
+def _flip_replay(m: int, faces) -> frozenset[int]:
+    """The facets of Bier(K) on 2m positions, reached from the Bier sphere of
+    the complex with only the empty face by one checked bistellar flip per
+    mask in ``faces``: the nonempty faces of K, each after its proper subsets.
+
+    Start from the boundary of the simplex on y_1..y_m.  For each face sigma,
+    with A = sigma on the x side and B = [m] - sigma on the y side, remove the
+    |A| facets (A - a) + B and add the |B| facets A + (B - b); raise
+    ``AssertionError`` unless every removed facet was present and no added one
+    was.  The derivation is in ``bier_sphere``.
+    """
+    full = (1 << m) - 1
+    held = {(full ^ (1 << i)) << m for i in range(m)}
+    for sigma in faces:
+        B = (full & ~sigma) << m
+        rest = sigma
+        while rest:
+            low = rest & -rest
+            old = (sigma ^ low) | B
+            if old not in held:
+                raise AssertionError("Bier construction failed its sphere certificate")
+            held.remove(old)
+            rest ^= low
+        rest = B
+        while rest:
+            low = rest & -rest
+            new = sigma | (B ^ low)
+            if new in held:
+                raise AssertionError("Bier construction failed its sphere certificate")
+            held.add(new)
+            rest ^= low
+    return frozenset(held)
+
+
+def _face_bound(K: SimplicialComplex) -> int:
+    """Sum of 2^|F| over the facets: at least the number of faces of K."""
+    return sum(1 << f.bit_count() for f in K.facets)
+
+
 def bier_sphere(K: SimplicialComplex) -> BierSphere:
-    """Bier(K) with the defining sphere properties verified."""
+    """Bier(K), built by a replay of bistellar flips that proves it a PL sphere.
+
+    The facets of Bier(K) = K *_Delta K^ are the pairs (rho, i) with rho in K,
+    i not in rho and rho + i not in K: rho on the x side plus [m] - rho - i on
+    the y side, whose complement rho + i is a non-face of K, so the y part
+    lies in the dual.  So every facet is an x/y split of [m] minus one label,
+    of size m - 1.  For the complex with only the empty face, the pairs are
+    (0, i), and Bier is the boundary of the simplex on y_1..y_m.
+
+    The nonempty faces sigma of K are added in increasing mask order, which
+    extends inclusion.  Let L be the complex of the faces added so far, held
+    as Bier(L), and take A = sigma on the x side and B = [m] - sigma on the y
+    side, so |A| + |B| = m = dim + 2.  A facet (rho, i) contains B exactly
+    when rho + i lies in sigma.  So (sigma - a, a) for a in sigma, the facets
+    of the complex boundary(A) * B, is a facet exactly when sigma - a is in L
+    and sigma is not, and "every one of them is present" says that sigma is a
+    minimal non-face of L.  Then no other rho + i inside sigma is a non-face,
+    so these are all the facets through B and lk(B) = boundary(A); and A is
+    not a face, since a face with x part sigma needs sigma in L.  These are
+    the conditions for the bistellar flip that replaces boundary(A) * B by
+    A * boundary(B), the pairs (sigma, b) for b outside sigma.  No facet of
+    Bier(L) has x part sigma, so none of these is held yet; the replay checks
+    that too, which refuses the empty face, whose flip would add the starting
+    facets again.  The result is Bier(L + sigma): the pairs (sigma - a, a)
+    stop being facets, the pairs (sigma, b) become facets, and no other pair
+    changes.  Flips preserve PL type (Pachner, 1991), so a replay whose every
+    step passes proves that Bier(K) is a PL sphere of dimension m - 2 (see
+    also Bjoerner, Paffenholz, Sjoestrand and Ziegler, "Bier spheres and
+    posets", 2005); a face given before one of its boundary faces fails the
+    first check.
+
+    The replay costs about m steps per face.  A face of K^ is the complement
+    of a non-face of K, so K and K^ have 2^m faces between them, and
+    Bier(K^) is Bier(K) with the x and y sides swapped.  The side with fewer
+    faces is replayed, judged by the bound sum 2^|F| over its facets: K
+    whenever its bound is at most 2^(m-1), which leaves K^ at least as many
+    faces, else whichever of K and K^ has the smaller bound.  So the boundary
+    of the simplex on [m], whose dual has only the empty face, takes no flip
+    instead of 2^m - 2.
+    """
     if K.m < 2:
         raise ValueError("Bier sphere needs ground size m >= 2")
     _check_doubled_ground(K.m)
     if K.is_full_simplex:
         raise FullSimplexError("Bier sphere undefined for the full simplex")
-    dual = alexander_dual(K)
-    B = deleted_join(K, dual)
     m = K.m
-    # is_pseudomanifold checks purity too
-    if not (B.dim == m - 2 and B.is_pseudomanifold()):
-        raise AssertionError("Bier construction failed its sphere certificate")
-    return BierSphere(B, m)
+    side, bound = K, _face_bound(K)
+    if bound > 1 << (m - 1):
+        dual = alexander_dual(K)
+        if _face_bound(dual) < bound:
+            side = dual
+    faces = sorted({s for f in side.facets for s in submasks(f)})
+    held = _flip_replay(m, faces[1:])
+    if side is not K:
+        full = (1 << m) - 1
+        # a frozenset copied from a set is sized to fit; one grown from a
+        # generator can hold twice the table, and census spheres are kept
+        held = frozenset({(f >> m) | ((f & full) << m) for f in held})
+    return BierSphere(SimplicialComplex(2 * m, held), m)
 
 
 def bier_mf_formula(K: SimplicialComplex) -> list[int]:

@@ -393,19 +393,3 @@ def write_off(R: NestohedronRealization) -> str:
     for cyc in cycles:
         lines.append(str(len(cyc)) + " " + " ".join(map(str, cyc)))
     return "\n".join(lines) + "\n"
-
-
-def read_off(text: str) -> dict:
-    """Parse the subset of OFF emitted by write_off."""
-    lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-    if lines[0] != "OFF":
-        raise ValueError("not an OFF file")
-    nv, nf, ne = map(int, lines[1].split())
-    vertices = [[float(x) for x in lines[2 + i].split()] for i in range(nv)]
-    faces = []
-    for i in range(nf):
-        parts = list(map(int, lines[2 + nv + i].split()))
-        if parts[0] != len(parts) - 1:
-            raise ValueError("malformed face row")
-        faces.append(parts[1:])
-    return {"vertices": vertices, "faces": faces, "edges": ne}

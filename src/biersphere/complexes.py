@@ -217,9 +217,6 @@ class SimplicialComplex:
             raise ValueError("h-vector requires a pure complex")
         return h_of_f(self.f_vector())
 
-    def euler_characteristic(self) -> int:
-        return euler_of_f(self.f_vector())
-
     def minimal_non_faces(self) -> list[int]:
         """Inclusion-minimal non-faces sorted by (size, mask); [] for the full
         simplex, ghost vertices as singletons.  A non-face is a set meeting the

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from .bier import alexander_dual
 from .building import BuildingSet, element_label
-from .complexes import SimplicialComplex, _antichain, mask_of
+from .complexes import SimplicialComplex, mask_of
 from .classify import CanonicalForm, canonical_form
 from .toric import CharMatrix
 
@@ -148,17 +148,6 @@ def golden_sphere(i: int) -> SimplicialComplex:
         m, frozenset(full & ~_parse_xy(tok) for tok in MF_TABLES[i].split())
     )
     return alexander_dual(dual)
-
-
-@lru_cache(maxsize=None)
-def golden_source(i: int) -> SimplicialComplex:
-    """A complex on [4] whose Bier sphere equals golden_sphere(i) on the nose.
-
-    This is the full subcomplex of the sphere on the x positions.
-    """
-    S = golden_sphere(i)
-    xmask = (1 << SOURCE_M) - 1
-    return SimplicialComplex(SOURCE_M, _antichain(f & xmask for f in S.facets))
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,7 @@
+import itertools
 import json
 import random
+import time
 
 import pytest
 
@@ -17,6 +19,7 @@ from biersphere.bier import (
 from biersphere.classify import MAX_CENSUS_M, bier_census, canonical_form, enumerate_complexes
 from biersphere.cli import main
 from biersphere.complexes import SimplicialComplex, _antichain, mask_of, submasks, vertices_of
+from test_complexes import euler_characteristic
 
 
 def all_faces(K):
@@ -163,7 +166,66 @@ def test_bier_sphere_certificate():
             assert B.is_pure()
             assert B.dim == m - 2
             assert B.is_pseudomanifold()
-            assert B.euler_characteristic() == 1 + (-1) ** (m - 2)
+            assert euler_characteristic(B) == 1 + (-1) ** (m - 2)
+
+
+def test_bier_sphere_is_the_join_on_the_census():
+    # the replay's facets against the definition K *_Delta K^
+    for m in range(2, MAX_CENSUS_M + 1):
+        for K in enumerate_complexes(m):
+            if not K.is_full_simplex:
+                assert bier_sphere(K).complex == deleted_join(K, alexander_dual(K))
+
+
+@pytest.mark.parametrize("m, k", [(10, 6), (12, 8)])
+def test_bier_sphere_is_the_join_on_wide_grounds(m, k):
+    K = wide_complex(m, k)
+    S = bier_sphere(K)
+    assert S.source_m == m
+    assert S.complex == deleted_join(K, alexander_dual(K))
+
+
+SKELETON = SimplicialComplex.from_facets(8, list(itertools.combinations(range(1, 9), 3)))
+
+
+@pytest.mark.parametrize(
+    "K, replayed_side",
+    [
+        # the dual has only the empty face; replaying K would take 2^20 - 2 flips
+        (SimplicialComplex.simplex_boundary(20), SimplicialComplex.empty(20)),
+        (alexander_dual(wide_complex(12, 8)), wide_complex(12, 8)),
+        # sum 2^|F| is 448 > 2^7, yet K has 93 faces and its dual 163
+        (SKELETON, SKELETON),
+    ],
+    ids=["simplex-boundary-20", "dual-of-wide-12", "skeleton-8"],
+)
+def test_bier_sphere_replays_the_side_with_fewer_faces(monkeypatch, K, replayed_side):
+    replayed = []
+    replay = bier._flip_replay
+
+    def counted(m, faces):
+        replayed.append(len(faces))
+        return replay(m, faces)
+
+    monkeypatch.setattr(bier, "_flip_replay", counted)
+    start = time.process_time()
+    S = bier_sphere(K)
+    assert time.process_time() - start < 1.0
+    assert replayed == [len(all_faces(replayed_side)) - 1]
+    assert S.complex == deleted_join(K, alexander_dual(K))
+
+
+def test_flip_replay_refuses_a_face_before_its_boundary():
+    # {1, 2} before {2}: the facet x2 y3 that the flip at {1, 2} removes is
+    # not held yet
+    with pytest.raises(AssertionError, match="failed its sphere certificate"):
+        bier._flip_replay(3, [0b001, 0b011, 0b010])
+    # the empty face would add the starting facets a second time
+    with pytest.raises(AssertionError, match="failed its sphere certificate"):
+        bier._flip_replay(3, [0])
+    assert bier._flip_replay(3, [0b001, 0b010, 0b011]) == bier_sphere(
+        SimplicialComplex.from_facets(3, [[1, 2]])
+    ).complex.facets
 
 
 def test_bier_rejects_simplex():

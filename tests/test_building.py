@@ -16,7 +16,6 @@ from biersphere.building import (
     delzant_check,
     nerve_by_truncation,
     nerve_of_realization,
-    read_off,
     realize_nestohedron,
     realize_p6,
     validate_building_set,
@@ -26,6 +25,22 @@ from biersphere.classify import MAX_CANON_VERTICES, canonical_form
 from biersphere.cli import main
 from biersphere.toric import CharMatrix, det_int, fenn_charmap
 from biersphere.verify import golden_polytope
+
+
+def read_off(text: str) -> dict:
+    """Parse the subset of OFF that write_off emits: the round-trip oracle."""
+    lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
+    if lines[0] != "OFF":
+        raise ValueError("not an OFF file")
+    nv, nf, ne = map(int, lines[1].split())
+    vertices = [[float(x) for x in lines[2 + i].split()] for i in range(nv)]
+    faces = []
+    for i in range(nf):
+        parts = list(map(int, lines[2 + nv + i].split()))
+        if parts[0] != len(parts) - 1:
+            raise ValueError("malformed face row")
+        faces.append(parts[1:])
+    return {"vertices": vertices, "faces": faces, "edges": ne}
 
 
 def permutohedron_set(n1):

@@ -225,8 +225,9 @@ def test_charmap_bier(capsys, empty4):
 
 
 def test_bier_past_the_label_cap_is_domain_error(capsys, tmp_path, monkeypatch):
-    # three 20-label facets on [40]: Bier(K) would make 416,284,672 join
-    # candidates before the 80-position sphere could be refused
+    # three 20-label facets on [40]: the replay would list K's 3,142,687
+    # nonempty faces and take one flip for each before the 80-position sphere
+    # could be refused; the dual and the join stay off the path as well
     from biersphere import bier
 
     rng = random.Random(40)
@@ -238,6 +239,8 @@ def test_bier_past_the_label_cap_is_domain_error(capsys, tmp_path, monkeypatch):
 
     monkeypatch.setattr(bier, "alexander_dual", unreachable)
     monkeypatch.setattr(bier, "deleted_join", unreachable)
+    monkeypatch.setattr(bier, "_flip_replay", unreachable)
+    monkeypatch.setattr(bier, "submasks", unreachable)
     for argv in (("sphere", path), ("charmap", "--bier", path)):
         code, out, err = run(capsys, *argv)
         assert code == 2
@@ -271,7 +274,7 @@ def test_nestohedron_outputs(capsys, b10, tmp_path):
     code, out, _ = run(capsys, "nestohedron", b10, "--off", str(off), "--nerve", str(nerve))
     assert code == 0
     assert "8 vertices" in out
-    from biersphere.building import read_off
+    from test_building import read_off
 
     parsed = read_off(off.read_text())
     assert len(parsed["vertices"]) == 8
