@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import MAX_GROUND, SimplicialComplex, json_int, submasks, vertices_of
+from .complexes import MAX_GROUND, SimplicialComplex, submasks, vertices_of
 
 
 class FullSimplexError(ValueError):
@@ -36,7 +36,7 @@ def _star(facets, s: int) -> int:
 def _check_doubled_ground(m: int) -> None:
     if 2 * m > MAX_GROUND:
         raise ValueError(
-            f"a deleted join on 2m = {2 * m} positions exceeds the {MAX_GROUND}-label cap"
+            f"the doubled ground of 2m = {2 * m} positions exceeds the {MAX_GROUND}-label cap"
         )
 
 
@@ -93,10 +93,6 @@ class BierSphere:
         obj["source_m"] = self.source_m
         obj["side_labels"] = True
         return obj
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "BierSphere":
-        return cls(SimplicialComplex.from_json_obj(obj), json_int(obj["source_m"]))
 
 
 def _flip_replay(m: int, faces) -> frozenset[int]:

@@ -93,12 +93,12 @@ def validate_building_set(elements, n_plus_1: int) -> BuildingSet:
 
 @dataclass(frozen=True)
 class Halfspace:
-    """coeffs . x >= rhs, labelled; element is set for nestohedral facets."""
+    """coeffs . x >= rhs, labelled by the building-set element it bounds."""
 
     label: str
     coeffs: tuple[int, ...]
     rhs: int
-    element: frozenset[int] | None = None
+    element: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -127,31 +127,13 @@ class NestohedronRealization:
                     "label": h.label,
                     "coeffs": list(h.coeffs),
                     "rhs": str(h.rhs),
-                    "element": sorted(h.element) if h.element is not None else None,
+                    "element": sorted(h.element),
                 }
                 for h in self.halfspaces
             ],
             "vertices": [[str(c) for c in v] for v in self.vertices],
             "incidence": [sorted(inc) for inc in self.incidence],
         }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "NestohedronRealization":
-        return cls(
-            ambient=int(obj["ambient"]),
-            level=int(obj["level"]),
-            halfspaces=tuple(
-                Halfspace(
-                    label=h["label"],
-                    coeffs=tuple(h["coeffs"]),
-                    rhs=int(h["rhs"]),
-                    element=frozenset(h["element"]) if h["element"] is not None else None,
-                )
-                for h in obj["halfspaces"]
-            ),
-            vertices=tuple(tuple(map(int, v)) for v in obj["vertices"]),
-            incidence=tuple(frozenset(inc) for inc in obj["incidence"]),
-        )
 
 
 def element_label(S) -> str:

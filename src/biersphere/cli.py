@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 parse or IO error, 2 violated domain precondition,
 3 verification failure.  Every refusal of a well-formed input, by the library
-or by a command, is a ValueError, and ``main`` alone maps it to exit 2.
+or by a command, is a ValueError, and ``main`` alone maps it to exit 2; the
+library raises AssertionError only for a failed construction certificate,
+which ``main`` maps to exit 3.
 """
 
 from __future__ import annotations
@@ -332,6 +334,9 @@ def main(argv=None) -> int:
     except ValueError as exc:  # a refused input, from the library or a command
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except AssertionError as exc:  # a construction failed its certificate
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

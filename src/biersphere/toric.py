@@ -211,7 +211,7 @@ def cohomology_presentation(
     manifold's cohomology; even Betti numbers are the h-vector entries."""
     ok, bad = validate_charmap(K, Lambda)
     if not ok:
-        raise ValueError(f"matrix is not valid for the complex (facet {bad:#x})")
+        raise ValueError(f"matrix is not valid for the complex (facet {list(vertices_of(bad))})")
     gens = tuple(f"v{i}" for i in range(1, K.m + 1))
     monomials = tuple(
         tuple(f"v{v}" for v in vertices_of(s)) for s in K.minimal_non_faces()

@@ -372,6 +372,21 @@ def test_type_6_matrix_missing_a_label_fails_its_rows(monkeypatch, capsys):
     assert "FAIL type 6 nerve" in capsys.readouterr().out
 
 
+def test_refused_truncation_fails_its_row(monkeypatch, capsys):
+    # a building set that the truncation refuses fails its nestohedron row
+    # with the reason, and verify-paper still prints every row and exits 3
+    def refused(B):
+        raise BuildingSetError("truncation refused")
+
+    monkeypatch.setattr(verify, "nerve_by_truncation", refused)
+    rows = verify.check_nestohedra()
+    code, out = main(["verify-paper"]), capsys.readouterr().out
+    assert [r.computed for r in rows] == ["truncation refused"] * len(rows)
+    assert code == 3
+    assert "FAIL nestohedron type 1: expected True, computed truncation refused" in out
+    assert "PASS duality failures at m=5" in out
+
+
 def test_off_roundtrip():
     R = realize_nestohedron(golden.golden_building_set(10))
     text = write_off(R)
@@ -391,12 +406,6 @@ def test_off_export_refuses_other_dimensions(n1):
     reason = rf"OFF export needs a 3-polytope \(n_plus_1 = 4\), got {n1}$"
     with pytest.raises(ValueError, match=reason):
         write_off(R)
-
-
-def test_realization_json_roundtrip():
-    R = realize_nestohedron(golden.golden_building_set(12))
-    again = NestohedronRealization.from_json_obj(R.to_json_obj())
-    assert again == R
 
 
 def test_building_set_json_roundtrip():

@@ -245,7 +245,22 @@ def test_bier_past_the_label_cap_is_domain_error(capsys, tmp_path, monkeypatch):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert err.startswith("error:") and "64-label cap" in err
+        reason = "the doubled ground of 2m = 80 positions exceeds the 64-label cap"
+        assert err == f"error: {reason}\n"
+
+
+def test_failed_sphere_certificate_exits_3(capsys, empty4, monkeypatch):
+    # the library raises AssertionError only for a failed construction
+    # certificate: one stderr line and exit 3, not a traceback
+    from biersphere import bier
+
+    def failed(*args):
+        raise AssertionError("Bier construction failed its sphere certificate")
+
+    monkeypatch.setattr(bier, "_flip_replay", failed)
+    code, out, err = run(capsys, "sphere", empty4)
+    assert (code, out) == (3, "")
+    assert err == "error: Bier construction failed its sphere certificate\n"
 
 
 def test_charmap_building(capsys, b10):
@@ -380,6 +395,10 @@ TRIANGLE = {"m": 3, "facets": [[1, 2], [1, 3], [2, 3]]}
 DISCONNECTED = {"n_plus_1": 3, "elements": [[1], [2], [3]]}
 ON_1 = {"n_plus_1": 1, "elements": [[1]]}  # no proper element: its nestohedron is a point
 ROWS_4 = {"rows": 4, "cols": 1, "entries": [[1], [0], [0], [0]], "labels": ["a"]}
+# the minor on facet {1, 3} of TRIANGLE is 2
+NOT_CHARACTERISTIC = {
+    "rows": 2, "cols": 3, "entries": [[1, 0, 1], [0, 1, 2]], "labels": ["a", "b", "c"]
+}
 M13 = golden.appendix_matrix(13).to_json_obj()
 
 # Refused and malformed inputs, run in a directory that holds only the input
@@ -426,6 +445,10 @@ REFUSED = {
     "orientable-4-rows": ("orientable m.json", {"m.json": ROWS_4}, 2, "three rows only"),
     "betti-shape-mismatch": (
         "betti k.json m.json", {"k.json": TRIANGLE, "m.json": M13}, 2, "column count"
+    ),
+    "betti-not-characteristic": (
+        "betti k.json m.json", {"k.json": TRIANGLE, "m.json": NOT_CHARACTERISTIC}, 2,
+        "(facet [1, 3])",
     ),
     "classify-m6": ("classify --m 6 --out cls", {}, 2, "2 <= m <= 5"),
     "classify-m1": ("classify --m 1 --out cls", {}, 2, "2 <= m <= 5"),
