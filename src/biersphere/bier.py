@@ -78,7 +78,7 @@ def deleted_join(K1: SimplicialComplex, K2: SimplicialComplex) -> SimplicialComp
                 if star2 & free:
                     continue
                 kept.add(sigma | (tau << m))
-    return SimplicialComplex(2 * m, frozenset(kept) or frozenset({0}))
+    return SimplicialComplex(2 * m, frozenset(kept))
 
 
 @dataclass(frozen=True)
@@ -222,13 +222,14 @@ def bier_mf_formula(K: SimplicialComplex) -> list[int]:
 
 
 def ghost_count(K: SimplicialComplex) -> int:
-    """Ghost count of Bier(K) from the f-vector formula |V| - f_0 + f_{|V|-2}."""
-    if K.is_void_of_faces:
-        return K.m
-    f = K.f_vector()
-    f0 = f[0]
-    top = f[K.m - 2] if K.m - 2 <= K.dim else 0
-    return K.m - f0 + top
+    """Ghost count of Bier(K) from the f-vector formula |V| - f_0 + f_{|V|-2},
+    both terms read off the facets: f_0 counts the non-ghost labels, and
+    short of the simplex an (m - 2)-face is a facet."""
+    if K.is_full_simplex:
+        raise FullSimplexError("Bier sphere undefined for the full simplex")
+    m = K.m
+    top = sum(1 for f in K.facets if f.bit_count() == m - 1)
+    return m - K.vertex_mask().bit_count() + top
 
 
 def side_label(position: int, m: int) -> str:

@@ -7,9 +7,12 @@ are sum_{i in S} x_i >= sum_{T subset of S} y_T over the proper elements S of
 B, on the level hyperplane sum(x) = sum(y).  Vertices are read off
 orderings of the ground set in integers, one per B-forest for a nestohedron
 and all 24 for type 6, and certified, not searched for: each is feasible and
-simple, and their tight sets close up, so no vertex is missing.  No floating
-point enters any decision; floats only order vertices cosmetically in the
-OFF export.
+simple, their tight sets close up, so no vertex is missing, and every
+halfspace is tight at one of them, so each halfspace is a facet.  So the
+nerve has one vertex per halfspace, and its size and the facet count that
+`bier nestohedron` prints are certified, not assumed.  No floating point
+enters any decision; floats and one tolerance only order the vertices of
+each facet for viewers in the OFF export.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from operator import mul
 
 from .complexes import (
     SimplicialComplex,
-    _antichain,
     json_int,
     mask_of,
     ridges_in_two,
@@ -113,10 +115,11 @@ class NestohedronRealization:
 
     def facet_vertex_sets(self) -> list[frozenset[int]]:
         """Per halfspace, the set of vertex indices lying on it."""
-        out = []
-        for h_idx in range(len(self.halfspaces)):
-            out.append(frozenset(v for v, inc in enumerate(self.incidence) if h_idx in inc))
-        return out
+        out: list[set[int]] = [set() for _ in self.halfspaces]
+        for v, inc in enumerate(self.incidence):
+            for h in inc:
+                out[h].add(v)
+        return [frozenset(vs) for vs in out]
 
     def to_json_obj(self) -> dict:
         return {
@@ -183,7 +186,9 @@ def _certified_incidence(rows, points, n: int) -> tuple[frozenset[int], ...]:
     and of the all-ones level row, so it is a simple vertex; and the tight
     sets close up: every (n-1)-subset of one lies in exactly two.  Then every
     edge from a listed vertex ends at a listed vertex, and the graph of a
-    bounded polytope is connected, so no vertex is missing.
+    bounded polytope is connected, so no vertex is missing.  Last, every
+    halfspace must be tight at some listed vertex: a halfspace tight at a
+    simple vertex is one of its n facets, so each halfspace is a facet.
     """
     from .toric import det_int
 
@@ -200,6 +205,9 @@ def _certified_incidence(rows, points, n: int) -> tuple[frozenset[int], ...]:
         incidence.append(tight)
     if not ridges_in_two(mask_of(j + 1 for j in t) for t in incidence):
         raise AssertionError("the tight sets do not close up: an edge leaves the points")
+    untouched = set(range(len(rows))).difference(*incidence)
+    if untouched:
+        raise AssertionError(f"halfspace {min(untouched)} is tight at no vertex: not a facet")
     return tuple(incidence)
 
 
@@ -248,15 +256,16 @@ class NerveComplex:
 
 
 def nerve_of_realization(R: NestohedronRealization) -> NerveComplex:
-    """Nerve of the facet covering: one vertex per nonempty facet."""
-    facet_sets = R.facet_vertex_sets()
-    active = [i for i, vs in enumerate(facet_sets) if vs]
-    position = {h: p + 1 for p, h in enumerate(active)}
-    facets = [
-        mask_of(position[h] for h in inc if h in position) for inc in R.incidence
-    ]
-    K = SimplicialComplex(len(active), _antichain(facets))
-    return NerveComplex(K, tuple(R.halfspaces[h].label for h in active))
+    """Nerve of the facet covering: vertex h + 1 is halfspace h, and each
+    polytope vertex gives the facet of the halfspaces tight at it.
+
+    Every halfspace is a facet, as _certified_incidence proves, so no
+    position is empty.  Distinct simple vertices have distinct tight n-sets,
+    so these facets already form an antichain.
+    """
+    facets = frozenset(mask_of(h + 1 for h in inc) for inc in R.incidence)
+    labels = tuple(h.label for h in R.halfspaces)
+    return NerveComplex(SimplicialComplex(len(labels), facets), labels)
 
 
 def nerve_by_truncation(B: BuildingSet) -> NerveComplex:
@@ -283,7 +292,7 @@ def nerve_by_truncation(B: BuildingSet) -> NerveComplex:
             e for e in current
             if e < S and not any(e < other < S for other in current)
         ]
-        covered = frozenset().union(*maximal) if maximal else frozenset()
+        covered = frozenset().union(*maximal)
         if covered != S or sum(len(e) for e in maximal) != len(S):
             raise BuildingSetError(f"no disjoint decomposition of {sorted(S)}")
         face = mask_of(labels.index(e) + 1 for e in maximal)
@@ -317,8 +326,9 @@ def realize_p6():
     polytope with its Delzant matrix fenn_charmap(B_1), whose column set is
     the published type-6 matrix.  Its normal fan is not the nested fan of
     B_1, so its vertices are read off all 24 orderings of [4], not the B_1
-    forests.  Only the vertices are certified here: the verify rows `type 6
-    nerve` and `type 6 Delzant` certify the rest.
+    forests.  Only the vertices and one facet per halfspace are certified
+    here: the verify rows `type 6 nerve` and `type 6 Delzant` certify the
+    rest.
     """
     from . import golden
     from .toric import fenn_charmap
@@ -332,15 +342,13 @@ def realize_p6():
 # -- OFF export -------------------------------------------------------------
 
 def _facet_cycles(R: NestohedronRealization) -> list[list[int]]:
-    """Vertex indices of each nonempty facet, ordered cyclically (3-polytopes).
+    """Vertex indices of each facet, ordered cyclically (3-polytopes).
 
     Ordering uses floating point only; membership is exact.
     """
     cycles = []
     for vs in R.facet_vertex_sets():
         idxs = sorted(vs)
-        if not idxs:
-            continue
         pts = [tuple(float(c) for c in R.vertices[i]) for i in idxs]
         cx = [sum(p[k] for p in pts) / len(pts) for k in range(len(pts[0]))]
         rel = [tuple(p[k] - cx[k] for k in range(len(p))) for p in pts]

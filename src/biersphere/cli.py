@@ -234,7 +234,7 @@ def cmd_nestohedron(args) -> int:
         obj = nerve.complex.to_json_obj()
         obj["labels"] = list(nerve.labels)
         _write(args.nerve, _json_text(obj))
-    print(f"{len(R.vertices)} vertices, {len([s for s in R.facet_vertex_sets() if s])} facets")
+    print(f"{len(R.vertices)} vertices, {len(R.halfspaces)} facets")
     return EXIT_OK
 
 

@@ -250,7 +250,12 @@ class SimplicialComplex:
         """Stellar subdivision at the nonempty face sigma.
 
         The fresh vertex gets the label m+1.  Facets containing sigma are
-        replaced by (F minus one vertex of sigma) + new vertex.
+        replaced by (F minus one vertex of sigma) + new vertex.  The result
+        is an antichain as it stands.  A new facet lies only in sets with the
+        new vertex, and (F - v) + new inside (F' - v') + new puts F - v and
+        v (in sigma) inside F', so F = F' and v = v'.  An untouched facet G
+        misses part of sigma, and G inside F - v would give G = F, which
+        contains sigma.
         """
         if sigma == 0 or not self.is_face(sigma):
             raise ValueError("sigma must be a nonempty face")
@@ -265,7 +270,7 @@ class SimplicialComplex:
                 low = rest & -rest
                 new_facets.add((f & ~low) | new_bit)
                 rest &= rest - 1
-        return SimplicialComplex(self.m + 1, _antichain(new_facets))
+        return SimplicialComplex(self.m + 1, frozenset(new_facets))
 
     def with_ground(self, m: int) -> "SimplicialComplex":
         """Same facets on a larger ground set; the new labels are ghosts."""

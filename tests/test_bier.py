@@ -298,10 +298,11 @@ def test_mf_row_counts_what_the_direct_comparison_counts(monkeypatch, name):
 
 
 def test_ghost_count_formula():
-    for m in (2, 3, 4):
-        for K in enumerate_complexes(m):
-            S = bier_sphere(K).complex
+    for m in range(2, MAX_CENSUS_M + 1):
+        for K, S in bier_census(m):
             assert ghost_count(K) == len(S.ghost_vertices())
+    with pytest.raises(FullSimplexError):
+        ghost_count(SimplicialComplex.simplex(4))
 
 
 def test_bier_of_empty_is_simplex_boundary_on_y():

@@ -5,10 +5,11 @@ from itertools import combinations, permutations
 
 import pytest
 
-from biersphere import golden, verify
+from biersphere import complexes, golden, verify
 from biersphere.building import (
     BuildingSet,
     BuildingSetError,
+    NerveComplex,
     NestohedronRealization,
     _certified_incidence,
     _forest_orderings,
@@ -23,6 +24,7 @@ from biersphere.building import (
 )
 from biersphere.classify import MAX_CANON_VERTICES, canonical_form
 from biersphere.cli import main
+from biersphere.complexes import SimplicialComplex, _antichain, mask_of
 from biersphere.toric import CharMatrix, det_int, fenn_charmap
 from biersphere.verify import golden_polytope
 
@@ -240,6 +242,64 @@ def test_missing_vertex_fails_closure():
     assert len(_certified_incidence(rows, points, 3)) == 24
     with pytest.raises(AssertionError, match="close up"):
         _certified_incidence(rows, points[1:], 3)
+
+
+def test_redundant_halfspace_is_refused():
+    # the triangle x >= 0 on the level sum(x) = 1, plus x_1 + x_2 >= -1,
+    # which holds everywhere and is tight at no vertex: not a facet
+    rows = [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0)]
+    points = [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    assert len(_certified_incidence(rows, points, 2)) == 3
+    with pytest.raises(AssertionError, match="tight at no vertex: not a facet"):
+        _certified_incidence(rows + [((1, 1, 0), -1)], points, 2)
+
+
+def connected_building_sets_on(n1):
+    """Every connected building set on [n1]: singletons and the full set
+    with each family of the other subsets closed under unions of meeting
+    pairs."""
+    ground = frozenset(range(1, n1 + 1))
+    base = {frozenset({i}) for i in ground} | {ground}
+    middle = [frozenset(c) for k in range(2, n1) for c in combinations(sorted(ground), k)]
+    for bits in range(1 << len(middle)):
+        elements = base | {c for j, c in enumerate(middle) if bits >> j & 1}
+        if all(a | b in elements for a in elements for b in elements if a & b):
+            yield validate_building_set(elements, n1)
+
+
+def nerve_by_facet_scan(R: NestohedronRealization) -> NerveComplex:
+    """Oracle: one nerve vertex per halfspace that some vertex is tight on,
+    found by a scan of every vertex per halfspace, the facets renumbered
+    onto those and reduced to their maximal members."""
+    active = [h for h in range(len(R.halfspaces)) if any(h in inc for inc in R.incidence)]
+    position = {h: p + 1 for p, h in enumerate(active)}
+    facets = [mask_of(position[h] for h in inc if h in position) for inc in R.incidence]
+    K = SimplicialComplex(len(active), _antichain(facets))
+    return NerveComplex(K, tuple(R.halfspaces[h].label for h in active))
+
+
+def test_nerve_matches_the_facet_scan_on_every_building_set_on_4():
+    count = 0
+    for B in connected_building_sets_on(4):
+        R = realize_nestohedron(B)
+        direct = nerve_of_realization(R)
+        assert direct == nerve_by_facet_scan(R)
+        assert direct.labelled_facets() == nerve_by_truncation(B).labelled_facets()
+        count += 1
+    assert count == 378
+
+
+def test_nerves_need_no_facet_scan_and_no_maximality_filter(monkeypatch):
+    def refused(*args):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(complexes, "_antichain", refused)
+    monkeypatch.setattr(NestohedronRealization, "facet_vertex_sets", refused)
+    for i in range(1, 14):
+        R = realize_p6()[0] if i == 6 else realize_nestohedron(golden.golden_building_set(i))
+        assert nerve_of_realization(R).complex.is_pseudomanifold()
+    for i in golden.NESTOHEDRAL_INDICES:
+        assert nerve_by_truncation(golden.golden_building_set(i)).complex.is_pseudomanifold()
 
 
 def test_two_paths_agree():

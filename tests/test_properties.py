@@ -26,6 +26,7 @@ from biersphere.complexes import (  # noqa: E402
     SimplicialComplex,
     _antichain,
     ridges_in_two,
+    submasks,
     vertices_of,
 )
 from biersphere.verify import is_mf_of  # noqa: E402
@@ -138,6 +139,27 @@ def quadratic_antichain(masks):
 @given(st.lists(st.integers(0, (1 << 8) - 1), max_size=40))
 def test_antichain_matches_quadratic_filter(masks):
     assert _antichain(masks) == quadratic_antichain(masks)
+
+
+@st.composite
+def complexes_with_a_face(draw, max_m=7):
+    """A complex with at least one vertex and a nonempty face sigma of it."""
+    m = draw(st.integers(1, max_m))
+    masks = draw(st.lists(st.integers(1, (1 << m) - 1), min_size=1, max_size=6))
+    K = SimplicialComplex(m, _antichain(masks))
+    faces = sorted({s for f in K.facets for s in submasks(f)} - {0})
+    return K, draw(st.sampled_from(faces))
+
+
+@settings(deadline=None, max_examples=200)
+@given(complexes_with_a_face())
+@example((SimplicialComplex.simplex_boundary(4), 0b0011))
+@example((SimplicialComplex.from_facets(5, [[1, 2, 3], [3, 4], [5]]), 0b0100))
+def test_stellar_subdivision_keeps_an_antichain(pair):
+    # an antichain is its own set of maximal members, which _antichain finds
+    K, sigma = pair
+    facets = K.stellar_subdivision(sigma).facets
+    assert facets == _antichain(facets)
 
 
 @settings(deadline=None, max_examples=150)
