@@ -115,7 +115,8 @@ def _flip_replay(m: int, faces) -> frozenset[int]:
             low = rest & -rest
             old = (sigma ^ low) | B
             if old not in held:
-                raise AssertionError("Bier construction failed its sphere certificate")
+                at = f"at face {list(vertices_of(sigma))}: a facet it removes is not held"
+                raise AssertionError(f"Bier construction failed its sphere certificate {at}")
             held.remove(old)
             rest ^= low
         rest = B
@@ -123,7 +124,8 @@ def _flip_replay(m: int, faces) -> frozenset[int]:
             low = rest & -rest
             new = sigma | (B ^ low)
             if new in held:
-                raise AssertionError("Bier construction failed its sphere certificate")
+                at = f"at face {list(vertices_of(sigma))}: a facet it adds is already held"
+                raise AssertionError(f"Bier construction failed its sphere certificate {at}")
             held.add(new)
             rest ^= low
     return frozenset(held)

@@ -10,9 +10,8 @@ and all 24 for type 6, and certified, not searched for: each is feasible and
 simple, their tight sets close up, so no vertex is missing, and every
 halfspace is tight at one of them, so each halfspace is a facet.  So the
 nerve has one vertex per halfspace, and its size and the facet count that
-`bier nestohedron` prints are certified, not assumed.  No floating point
-enters any decision; floats and one tolerance only order the vertices of
-each facet for viewers in the OFF export.
+`bier nestohedron` prints are certified, not assumed.  No float occurs: the
+OFF export walks the certified incidence and prints integer coordinates.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, permutations
-from math import atan2
 from operator import mul
 
 from .complexes import (
@@ -190,8 +188,6 @@ def _certified_incidence(rows, points, n: int) -> tuple[frozenset[int], ...]:
     halfspace must be tight at some listed vertex: a halfspace tight at a
     simple vertex is one of its n facets, so each halfspace is a facet.
     """
-    from .toric import det_int
-
     incidence = []
     for p in points:
         slack = [sum(map(mul, coeffs, p)) - rhs for coeffs, rhs in rows]
@@ -339,37 +335,61 @@ def realize_p6():
     return _realize(B1, y, permutations(range(4))), fenn_charmap(B1)
 
 
+# -- Exact linear algebra ---------------------------------------------------
+
+def det_int(rows: list[list[int]]) -> int:
+    """Exact determinant by Bareiss fraction-free elimination."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
 # -- OFF export -------------------------------------------------------------
 
 def _facet_cycles(R: NestohedronRealization) -> list[list[int]]:
-    """Vertex indices of each facet, ordered cyclically (3-polytopes).
+    """Each facet's vertices from the least, counter-clockwise seen from outside.
 
-    Ordering uses floating point only; membership is exact.
+    Every vertex is simple (_certified_incidence), so any two of its three
+    tight halfspaces meet the polytope in an edge, whose other end is the
+    vertex sharing them: vertices sharing exactly two tight halfspaces are
+    an edge.  The walk steps along edges and is reversed when its first
+    vertices a, b, c turn clockwise seen from outside, which is away from a
+    vertex q off the facet: det(b-a, c-b, q-a) > 0.
     """
+    body = [v[:-1] for v in R.vertices]
     cycles = []
     for vs in R.facet_vertex_sets():
-        idxs = sorted(vs)
-        pts = [tuple(float(c) for c in R.vertices[i]) for i in idxs]
-        cx = [sum(p[k] for p in pts) / len(pts) for k in range(len(pts[0]))]
-        rel = [tuple(p[k] - cx[k] for k in range(len(p))) for p in pts]
-        u = rel[0]
-        # Gram-Schmidt a second in-plane axis from any independent rel vector
-        def dot(a, b):
-            return sum(x * y for x, y in zip(a, b))
-        w = next(r for r in rel[1:] if abs(dot(r, u)) ** 2 < dot(r, r) * dot(u, u) * (1 - 1e-12))
-        proj = dot(w, u) / dot(u, u)
-        v2 = tuple(w[k] - proj * u[k] for k in range(len(w)))
-        angles = [atan2(dot(r, v2), dot(r, u)) for r in rel]
-        cycles.append([i for _, i in sorted(zip(angles, idxs))])
+        cycle = [min(vs)]
+        while len(cycle) < len(vs):
+            tight = R.incidence[cycle[-1]]
+            cycle.append(min(v for v in vs.difference(cycle) if len(R.incidence[v] & tight) == 2))
+        a, b, c = (body[v] for v in cycle[:3])
+        q = body[min(set(range(len(body))) - vs)]
+        if det_int([[s - t for s, t in zip(u, w)] for u, w in ((b, a), (c, b), (q, a))]) > 0:
+            cycle[1:] = cycle[:0:-1]
+        cycles.append(cycle)
     return cycles
 
 
 def write_off(R: NestohedronRealization) -> str:
-    """OFF text: decimal coordinates in the body, exact integers in comments.
-
-    The body drops the last ambient coordinate (an affine bijection on the
-    level hyperplane) so standard 3-coordinate viewers can read the file;
-    the comments and the JSON twin keep every exact coordinate.
+    """OFF text in exact integers.  The body drops the last ambient coordinate
+    (an affine bijection on the level hyperplane) for 3-coordinate viewers;
+    the comments and the JSON twin keep every coordinate.
     """
     if R.ambient != 4:
         raise ValueError(f"OFF export needs a 3-polytope (n_plus_1 = 4), got {R.ambient}")
@@ -379,7 +399,7 @@ def write_off(R: NestohedronRealization) -> str:
     lines.append(f"{len(R.vertices)} {len(cycles)} {edge_count}")
     for v in R.vertices:
         lines.append("# " + " ".join(str(c) for c in v))
-        lines.append(" ".join(repr(float(c)) for c in v[:-1]))
+        lines.append(" ".join(str(c) for c in v[:-1]))
     for cyc in cycles:
         lines.append(str(len(cyc)) + " " + " ".join(map(str, cyc)))
     return "\n".join(lines) + "\n"

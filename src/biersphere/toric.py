@@ -12,7 +12,7 @@ from operator import mul
 
 from .complexes import SimplicialComplex, json_int, vertices_of
 from .bier import BierSphere, bier_sphere, side_label
-from .building import BuildingSetError, element_label
+from .building import BuildingSetError, det_int, element_label
 
 
 @dataclass(frozen=True)
@@ -87,28 +87,6 @@ def bier_charmap(m: int) -> CharMatrix:
     entries = tuple(tuple(col[r] for col in cols) for r in range(n))
     labels = tuple(side_label(p, m) for p in range(1, 2 * m + 1))
     return CharMatrix(entries=entries, labels=labels)
-
-
-def det_int(rows: list[list[int]]) -> int:
-    """Exact determinant by Bareiss fraction-free elimination."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def bad_facets(facets, Lambda: CharMatrix):

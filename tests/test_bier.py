@@ -220,11 +220,19 @@ def test_bier_sphere_replays_the_side_with_fewer_faces(monkeypatch, K, replayed_
 def test_flip_replay_refuses_a_face_before_its_boundary():
     # {1, 2} before {2}: the facet x2 y3 that the flip at {1, 2} removes is
     # not held yet
-    with pytest.raises(AssertionError, match="failed its sphere certificate"):
+    with pytest.raises(AssertionError, match="failed its sphere certificate") as raised:
         bier._flip_replay(3, [0b001, 0b011, 0b010])
+    assert str(raised.value) == (
+        "Bier construction failed its sphere certificate"
+        " at face [1, 2]: a facet it removes is not held"
+    )
     # the empty face would add the starting facets a second time
-    with pytest.raises(AssertionError, match="failed its sphere certificate"):
+    with pytest.raises(AssertionError, match="failed its sphere certificate") as raised:
         bier._flip_replay(3, [0])
+    assert str(raised.value) == (
+        "Bier construction failed its sphere certificate"
+        " at face []: a facet it adds is already held"
+    )
     assert bier._flip_replay(3, [0b001, 0b010, 0b011]) == bier_sphere(
         SimplicialComplex.from_facets(3, [[1, 2]])
     ).complex.facets

@@ -35,7 +35,7 @@ def read_off(text: str) -> dict:
     if lines[0] != "OFF":
         raise ValueError("not an OFF file")
     nv, nf, ne = map(int, lines[1].split())
-    vertices = [[float(x) for x in lines[2 + i].split()] for i in range(nv)]
+    vertices = [[int(x) for x in lines[2 + i].split()] for i in range(nv)]
     faces = []
     for i in range(nf):
         parts = list(map(int, lines[2 + nv + i].split()))
@@ -252,6 +252,10 @@ def test_redundant_halfspace_is_refused():
     assert len(_certified_incidence(rows, points, 2)) == 3
     with pytest.raises(AssertionError, match="tight at no vertex: not a facet"):
         _certified_incidence(rows + [((1, 1, 0), -1)], points, 2)
+    # x_1 + x_2 >= 0 holds everywhere and is tight at (0, 0, 1) beside
+    # x_1 >= 0 and x_2 >= 0: three tight halfspaces at a corner of a polygon
+    with pytest.raises(AssertionError, match=r"non-simple vertex \(0, 0, 1\): tight on 3 facets"):
+        _certified_incidence(rows + [((1, 1, 0), 0)], points, 2)
 
 
 def connected_building_sets_on(n1):
@@ -455,7 +459,41 @@ def test_off_roundtrip():
     assert len(parsed["faces"]) == 6
     assert parsed["edges"] == 12
     body = {tuple(v) for v in parsed["vertices"]}
-    assert body == {tuple(float(c) for c in v[:-1]) for v in R.vertices}
+    assert body == {v[:-1] for v in R.vertices}
+
+
+def triple(u, v, w) -> int:
+    """The integer determinant det(u, v, w) of three 3-vectors, as u . (v x w)."""
+    return (
+        u[0] * (v[1] * w[2] - v[2] * w[1])
+        - u[1] * (v[0] * w[2] - v[2] * w[0])
+        + u[2] * (v[0] * w[1] - v[1] * w[0])
+    )
+
+
+def test_off_faces_walk_edges_counter_clockwise_from_outside():
+    # the 13 golden polytopes and the nestohedra of all 378 connected
+    # building sets on [4]: each face row lists its facet once, from its
+    # least vertex, along edges (two shared tight halfspaces), and turns
+    # counter-clockwise seen from outside, that is away from a vertex q off
+    # the facet, at every vertex
+    polytopes = [golden_polytope(i)[0] for i in range(1, 14)]
+    polytopes += [realize_nestohedron(B) for B in connected_building_sets_on(4)]
+    assert len(polytopes) == 391
+    for R in polytopes:
+        parsed = read_off(write_off(R))
+        body = parsed["vertices"]
+        facets = R.facet_vertex_sets()
+        assert len(parsed["faces"]) == len(facets)
+        for face, vs in zip(parsed["faces"], facets):
+            assert sorted(face) == sorted(vs) and face[0] == min(vs)
+            q = body[min(set(range(len(body))) - vs)]
+            for i, a in enumerate(face):
+                b, c = face[(i + 1) % len(face)], face[(i + 2) % len(face)]
+                assert len(R.incidence[a] & R.incidence[b]) == 2
+                A, B, C = body[a], body[b], body[c]
+                turn = [[s - t for s, t in zip(u, w)] for u, w in ((B, A), (C, B), (q, A))]
+                assert triple(*turn) < 0
 
 
 @pytest.mark.parametrize("n1", [5, 2])
