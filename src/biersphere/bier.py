@@ -2,11 +2,12 @@
 
 The doubled ground set uses the fixed position convention x_i -> i and
 y_i -> m+i, so minimal non-face tables print stably in x/y notation.
+``BierSphere`` is a named tuple, so it equals a plain tuple (see complexes).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .complexes import MAX_GROUND, SimplicialComplex, submasks, vertices_of
 
@@ -81,12 +82,10 @@ def deleted_join(K1: SimplicialComplex, K2: SimplicialComplex) -> SimplicialComp
     return SimplicialComplex(2 * m, frozenset(kept))
 
 
-@dataclass(frozen=True)
-class BierSphere:
-    """A Bier sphere: deleted join of K with its Alexander dual."""
+class BierSphere(namedtuple("BierSphere", "complex source_m")):
+    """A Bier sphere: deleted join of K with its Alexander dual, and m."""
 
-    complex: SimplicialComplex
-    source_m: int
+    __slots__ = ()
 
     def to_json_obj(self) -> dict:
         obj = self.complex.to_json_obj()
@@ -131,6 +130,10 @@ def _flip_replay(m: int, faces) -> frozenset[int]:
     return frozenset(held)
 
 
+def _faces(K: SimplicialComplex) -> set[int]:
+    return {s for f in K.facets for s in submasks(f)}
+
+
 def _face_bound(K: SimplicialComplex) -> int:
     """Sum of 2^|F| over the facets: at least the number of faces of K."""
     return sum(1 << f.bit_count() for f in K.facets)
@@ -170,12 +173,14 @@ def bier_sphere(K: SimplicialComplex) -> BierSphere:
 
     The replay costs about m steps per face.  A face of K^ is the complement
     of a non-face of K, so K and K^ have 2^m faces between them, and
-    Bier(K^) is Bier(K) with the x and y sides swapped.  The side with fewer
-    faces is replayed, judged by the bound sum 2^|F| over its facets: K
-    whenever its bound is at most 2^(m-1), which leaves K^ at least as many
-    faces, else whichever of K and K^ has the smaller bound.  So the boundary
-    of the simplex on [m], whose dual has only the empty face, takes no flip
-    instead of 2^m - 2.
+    Bier(K^) is Bier(K) with the x and y sides swapped.  When the bound sum
+    2^|F| over K's facets is at most 2^m, K's faces are listed and the side
+    with fewer faces is replayed: K when it has at most 2^(m-1) faces, else
+    K^, which has the other 2^m - |K|, so the dual is built only to be
+    replayed.  Above 2^m, where listing K's faces could cost far more than
+    the replay, the dual is built and whichever side has the smaller bound is
+    replayed.  So the boundary of the simplex on [m], whose dual has only the
+    empty face, takes no flip instead of 2^m - 2.
     """
     if K.m < 2:
         raise ValueError("Bier sphere needs ground size m >= 2")
@@ -184,12 +189,17 @@ def bier_sphere(K: SimplicialComplex) -> BierSphere:
         raise FullSimplexError("Bier sphere undefined for the full simplex")
     m = K.m
     side, bound = K, _face_bound(K)
-    if bound > 1 << (m - 1):
+    if bound <= 1 << m:
+        faces = _faces(K)
+        if len(faces) > 1 << (m - 1):
+            side = alexander_dual(K)
+            faces = _faces(side)
+    else:
         dual = alexander_dual(K)
         if _face_bound(dual) < bound:
             side = dual
-    faces = sorted({s for f in side.facets for s in submasks(f)})
-    held = _flip_replay(m, faces[1:])
+        faces = _faces(side)
+    held = _flip_replay(m, sorted(faces)[1:])
     if side is not K:
         full = (1 << m) - 1
         # a frozenset copied from a set is sized to fit; one grown from a

@@ -12,11 +12,12 @@ halfspace is tight at one of them, so each halfspace is a facet.  So the
 nerve has one vertex per halfspace, and its size and the facet count that
 `bier nestohedron` prints are certified, not assumed.  No float occurs: the
 OFF export walks the certified incidence and prints integer coordinates.
+The records are named tuples, so they equal plain tuples (see complexes).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 from itertools import combinations, permutations
 from operator import mul
@@ -34,10 +35,8 @@ class BuildingSetError(ValueError):
     """A family violating one of the building-set axioms."""
 
 
-@dataclass(frozen=True)
-class BuildingSet:
-    n_plus_1: int
-    elements: frozenset[frozenset[int]]
+class BuildingSet(namedtuple("BuildingSet", "n_plus_1 elements")):
+    __slots__ = ()
 
     @property
     def full_set(self) -> frozenset[int]:
@@ -91,25 +90,17 @@ def validate_building_set(elements, n_plus_1: int) -> BuildingSet:
     return BuildingSet(n_plus_1, elems)
 
 
-@dataclass(frozen=True)
-class Halfspace:
-    """coeffs . x >= rhs, labelled by the building-set element it bounds."""
-
-    label: str
-    coeffs: tuple[int, ...]
-    rhs: int
-    element: frozenset[int]
+# coeffs . x >= rhs, labelled by the building-set element it bounds
+Halfspace = namedtuple("Halfspace", "label coeffs rhs element")
 
 
-@dataclass(frozen=True)
-class NestohedronRealization:
-    """Exact vertex description of a simple polytope in the level hyperplane."""
+class NestohedronRealization(
+    namedtuple("NestohedronRealization", "ambient level halfspaces vertices incidence")
+):
+    """Exact vertex description of a simple polytope in the level hyperplane
+    (of coordinate sum level), with the halfspaces tight at each vertex."""
 
-    ambient: int
-    level: int  # sum of coordinates on the defining hyperplane
-    halfspaces: tuple[Halfspace, ...]
-    vertices: tuple[tuple[int, ...], ...]
-    incidence: tuple[frozenset[int], ...]  # halfspace indices tight per vertex
+    __slots__ = ()
 
     def facet_vertex_sets(self) -> list[frozenset[int]]:
         """Per halfspace, the set of vertex indices lying on it."""
@@ -236,12 +227,10 @@ def realize_nestohedron(B: BuildingSet) -> NestohedronRealization:
     return _realize(B, dict.fromkeys(B.elements, 1), _forest_orderings(B))
 
 
-@dataclass(frozen=True)
-class NerveComplex:
-    """Boundary complex of the dual simplicial polytope, with facet labels."""
+class NerveComplex(namedtuple("NerveComplex", "complex labels")):
+    """Boundary complex of the dual simplicial polytope, labelled per vertex."""
 
-    complex: SimplicialComplex
-    labels: tuple[str, ...]  # label of each vertex position 1..m
+    __slots__ = ()
 
     def labelled_facets(self) -> frozenset[frozenset[str]]:
         """Facets as sets of labels: equal for two nerves exactly when they

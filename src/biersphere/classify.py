@@ -70,12 +70,13 @@ dual's class form, and when that class comes later, it takes the searched
 sphere's form.  A type's minimal non-faces come from
 ``bier_mf_formula`` of its first source complex, the formula that
 ``verify.check_mf_formula`` checks against every census sphere through
-Alexander duality.
+Alexander duality.  The records are named tuples (see complexes), and a form
+orders as the tuple (ghost count, ground size, facets).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 
 from .bier import alexander_dual, bier_mf_formula, bier_sphere, render_mf
@@ -85,11 +86,7 @@ MAX_CANON_VERTICES = 12
 MAX_CENSUS_M = 5  # largest ground set of the census, classification and checks
 
 
-@dataclass(frozen=True, order=True)
-class CanonicalForm:
-    ghost_count: int
-    ground_size: int
-    facets: tuple[tuple[int, ...], ...]
+CanonicalForm = namedtuple("CanonicalForm", "ghost_count ground_size facets")
 
 
 def _refine(
@@ -402,22 +399,15 @@ def bier_census(m: int) -> tuple[tuple[SimplicialComplex, SimplicialComplex], ..
     return tuple((K, bier_sphere(K).complex) for K in enumerate_complexes(m))
 
 
-@dataclass(frozen=True)
-class BierClass:
-    representative: SimplicialComplex
-    f_vector: tuple[int, ...]
-    h_vector: tuple[int, ...]
-    mf_rendered: tuple[str, ...]
-    flag: bool
-    source_indices: tuple[int, ...]
-    golden_index: int | None
+BierClass = namedtuple(
+    "BierClass", "representative f_vector h_vector mf_rendered flag source_indices golden_index"
+)
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    m: int
-    total_complexes: int
-    classes: tuple[BierClass, ...] = field(default_factory=tuple)
+class ClassificationReport(
+    namedtuple("ClassificationReport", "m total_complexes classes", defaults=((),))
+):
+    __slots__ = ()
 
     @property
     def class_count(self) -> int:

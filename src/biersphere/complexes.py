@@ -5,12 +5,18 @@ bit masks (bit i-1 set means vertex i belongs to the face).  A complex keeps
 only its facet antichain; closure is implicit.  Ghost vertices (positions in
 no facet) are first-class: the ground size ``m`` is independent of the
 support of the facets, so the empty complex on m vertices is representable.
+
+The records of the package are named tuples, so importing it loads neither
+``dataclasses`` nor ``inspect``.  A record hashes as the tuple of its fields,
+as a frozen dataclass does, but it also equals a plain tuple of the same
+values and is iterable: no code compares a record with a tuple or mixes
+record types in one dict, or calls ``_make`` or ``_replace``, which skip the
+checks in ``__new__``.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from math import comb
 
 MAX_GROUND = 64
@@ -115,22 +121,21 @@ def _antichain(masks) -> frozenset[int]:
     return frozenset(kept) if kept else frozenset({0})
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
-    """A simplicial complex given by ground size and facet antichain."""
+class SimplicialComplex(namedtuple("SimplicialComplex", "m facets")):
+    """A simplicial complex given by ground size m and facet antichain (masks)."""
 
-    m: int
-    facets: frozenset[int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m > MAX_GROUND:
-            raise LabelCapError(f"ground size {self.m} exceeds the {MAX_GROUND}-label cap")
-        if self.m < 1:
-            raise ValueError(f"ground size must be in 1..{MAX_GROUND}, got {self.m}")
-        full = (1 << self.m) - 1
-        for f in self.facets:
+    def __new__(cls, m: int, facets: frozenset[int]):
+        if m > MAX_GROUND:
+            raise LabelCapError(f"ground size {m} exceeds the {MAX_GROUND}-label cap")
+        if m < 1:
+            raise ValueError(f"ground size must be in 1..{MAX_GROUND}, got {m}")
+        full = (1 << m) - 1
+        for f in facets:
             if f & ~full:
                 raise ValueError("facet contains label out of range")
+        return super().__new__(cls, m, facets)
 
     # -- construction -------------------------------------------------
 

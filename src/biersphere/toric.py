@@ -2,27 +2,27 @@
 
 All determinant work is exact integer arithmetic (fraction-free
 elimination); the mod-2 material reduces the same matrices.
+The records are named tuples, so they equal plain tuples (see complexes).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 from operator import mul
 
 from .complexes import SimplicialComplex, json_int, vertices_of
-from .bier import BierSphere, bier_sphere, side_label
+from .bier import bier_sphere, side_label
 from .building import BuildingSetError, det_int, element_label
 
 
-@dataclass(frozen=True)
-class CharMatrix:
-    entries: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...]
+class CharMatrix(namedtuple("CharMatrix", "entries labels")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(len(r) != len(self.labels) for r in self.entries):
+    def __new__(cls, entries: tuple[tuple[int, ...], ...], labels: tuple[str, ...]):
+        if any(len(r) != len(labels) for r in entries):
             raise ValueError("row length does not match label count")
+        return super().__new__(cls, entries, labels)
 
     @property
     def rows(self) -> int:
@@ -119,15 +119,9 @@ def validate_charmap(
     return bad is None, bad
 
 
-@dataclass(frozen=True)
-class BuchstaberCertificate:
-    """A labelling of a Bier sphere and the bound it attains: s = s_R =
-    upper_bound when bad_facet is None, else the facet it fails on."""
-
-    sphere: BierSphere
-    matrix: CharMatrix
-    upper_bound: int
-    bad_facet: int | None
+# A labelling of a Bier sphere and the bound it attains: s = s_R =
+# upper_bound when bad_facet is None, else the facet it fails on.
+BuchstaberCertificate = namedtuple("BuchstaberCertificate", "sphere matrix upper_bound bad_facet")
 
 
 def buchstaber_certificate(K: SimplicialComplex) -> BuchstaberCertificate:
@@ -166,12 +160,14 @@ def fenn_charmap(B) -> CharMatrix:
     return CharMatrix(entries=tuple(entries), labels=tuple(map(element_label, proper)))
 
 
-@dataclass(frozen=True)
-class CohomologyPresentation:
-    generators: tuple[str, ...]
-    monomial_relations: tuple[tuple[str, ...], ...]
-    linear_relations: tuple[tuple[int, ...], ...]
-    betti: tuple[int, ...]  # beta_0, beta_2, ..., beta_2n
+class CohomologyPresentation(
+    namedtuple(
+        "CohomologyPresentation", "generators monomial_relations linear_relations betti"
+    )
+):
+    """betti holds beta_0, beta_2, ..., beta_2n."""
+
+    __slots__ = ()
 
     def to_json_obj(self) -> dict:
         return {

@@ -3,12 +3,12 @@
 Each check returns rows of (name, expected, computed, pass); the CLI and
 the acceptance tests share these so there is exactly one source of truth
 for what "everything still holds" means.
+The records are named tuples, so they equal plain tuples (see complexes).
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache
 
 from . import golden
@@ -40,17 +40,11 @@ from .toric import (
 )
 
 
-@dataclass(frozen=True)
-class CheckRow:
-    name: str
-    expected: str
-    computed: str
-    passed: bool
+CheckRow = namedtuple("CheckRow", "name expected computed passed")
 
 
-@dataclass(frozen=True)
-class PaperVerificationSummary:
-    rows: tuple[CheckRow, ...]
+class PaperVerificationSummary(namedtuple("PaperVerificationSummary", "rows")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -196,7 +196,8 @@ SKELETON = SimplicialComplex.from_facets(8, list(itertools.combinations(range(1,
         # the dual has only the empty face; replaying K would take 2^20 - 2 flips
         (SimplicialComplex.simplex_boundary(20), SimplicialComplex.empty(20)),
         (alexander_dual(wide_complex(12, 8)), wide_complex(12, 8)),
-        # sum 2^|F| is 448 > 2^7, yet K has 93 faces and its dual 163
+        # sum 2^|F| is 448 > 2^8, so the sums decide: the dual's is 1,120;
+        # K has 93 faces and its dual 163
         (SKELETON, SKELETON),
     ],
     ids=["simplex-boundary-20", "dual-of-wide-12", "skeleton-8"],
@@ -215,6 +216,30 @@ def test_bier_sphere_replays_the_side_with_fewer_faces(monkeypatch, K, replayed_
     assert time.process_time() - start < 1.0
     assert replayed == [len(all_faces(replayed_side)) - 1]
     assert S.complex == deleted_join(K, alexander_dual(K))
+
+
+def test_bier_sphere_builds_the_dual_only_to_replay_it_or_compare_sums(monkeypatch):
+    census = [(m, bier_census(m)) for m in range(2, MAX_CENSUS_M + 1)]
+    duals, replayed = [], []
+    dual, replay = bier.alexander_dual, bier._flip_replay
+    monkeypatch.setattr(bier, "alexander_dual", lambda K: duals.append(K) or dual(K))
+    monkeypatch.setattr(bier, "_flip_replay", lambda m, fs: replayed.append(fs) or replay(m, fs))
+    dual_replays = compared = 0
+    for m, spheres in census:
+        for K, S in spheres:
+            built, faces = len(duals), sorted(all_faces(K))
+            assert bier_sphere(K).complex == S
+            on_dual = replayed[-1] != faces[1:]
+            dual_replays += on_dual
+            if bier._face_bound(K) <= 1 << m:
+                # the side with fewer faces, K on a tie, and the dual built
+                # only when it is replayed
+                assert len(replayed[-1]) + 1 == min(len(faces), (1 << m) - len(faces))
+                assert len(duals) - built == on_dual
+            else:
+                assert len(duals) - built == 1
+                compared += not on_dual
+    assert len(duals) == dual_replays + compared
 
 
 def test_flip_replay_refuses_a_face_before_its_boundary():
