@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .complexes import MAX_GROUND, SimplicialComplex, submasks, vertices_of
+from .complexes import MAX_GROUND, SimplicialComplex, faces_of, submasks, vertices_of
 
 
 class FullSimplexError(ValueError):
@@ -130,10 +130,6 @@ def _flip_replay(m: int, faces) -> frozenset[int]:
     return frozenset(held)
 
 
-def _faces(K: SimplicialComplex) -> set[int]:
-    return {s for f in K.facets for s in submasks(f)}
-
-
 def _face_bound(K: SimplicialComplex) -> int:
     """Sum of 2^|F| over the facets: at least the number of faces of K."""
     return sum(1 << f.bit_count() for f in K.facets)
@@ -178,9 +174,10 @@ def bier_sphere(K: SimplicialComplex) -> BierSphere:
     with fewer faces is replayed: K when it has at most 2^(m-1) faces, else
     K^, which has the other 2^m - |K|, so the dual is built only to be
     replayed.  Above 2^m, where listing K's faces could cost far more than
-    the replay, the dual is built and whichever side has the smaller bound is
-    replayed.  So the boundary of the simplex on [m], whose dual has only the
-    empty face, takes no flip instead of 2^m - 2.
+    the replay, the dual is built.  When its bound is at most K's, its faces
+    are listed and the side with fewer faces is replayed, K on a tie; else K
+    is.  So the boundary of the simplex on [m], whose dual has only the empty
+    face, takes no flip instead of 2^m - 2.
     """
     if K.m < 2:
         raise ValueError("Bier sphere needs ground size m >= 2")
@@ -188,17 +185,20 @@ def bier_sphere(K: SimplicialComplex) -> BierSphere:
     if K.is_full_simplex:
         raise FullSimplexError("Bier sphere undefined for the full simplex")
     m = K.m
-    side, bound = K, _face_bound(K)
+    half = 1 << (m - 1)
+    bound = _face_bound(K)
     if bound <= 1 << m:
-        faces = _faces(K)
-        if len(faces) > 1 << (m - 1):
+        side, faces = K, faces_of(K.facets)
+        if len(faces) > half:
             side = alexander_dual(K)
-            faces = _faces(side)
+            faces = faces_of(side.facets)
     else:
-        dual = alexander_dual(K)
-        if _face_bound(dual) < bound:
-            side = dual
-        faces = _faces(side)
+        side = alexander_dual(K)
+        if _face_bound(side) > bound:
+            side = K
+        faces = faces_of(side.facets)
+        if side is not K and len(faces) >= half:
+            side, faces = K, faces_of(K.facets)
     held = _flip_replay(m, sorted(faces)[1:])
     if side is not K:
         full = (1 << m) - 1
@@ -229,7 +229,8 @@ def bier_mf_formula(K: SimplicialComplex) -> list[int]:
         low = rest & -rest
         out.append(low | (low << m))
         rest &= rest - 1
-    out.sort(key=lambda x: (x.bit_count(), x))
+    out.sort()
+    out.sort(key=int.bit_count)  # stable: (size, mask), as minimal_non_faces
     return out
 
 

@@ -41,18 +41,18 @@ confirming round, forms none.
 The census takes a form of every antichain on [m], 7,579 on [5], but
 searches only once per relabelling class.  ``canonical_form`` takes an
 optional memo from a key to a form.  The key is K's ground size and its
-facets in index space relabelled by the vertex order (root colour, index),
-so equal keys mean isomorphic complexes on grounds of one size, whose forms
-are equal: the encoding is an isomorphism invariant, and the ghost count
-is the ground size less the vertex count.  The root colours rank each
-vertex's sorted facet sizes, so a stable sort of the vertices by those
-sizes gives the same order, and the key is taken before any colour is
-ranked.  A hit therefore skips the ranking, the twin tests and the search,
-builds no per-vertex incidence lists, which only the search reads, and
-returns the stored form; on [5], 345 keys are searched and the other 7,234
-forms are hits.  The memo is exact for any batch, but it pays only where
-many inputs are relabellings of few, so each enumeration on [m] creates a
-fresh one and returns it with its classes, for ``classify_bier``'s dual
+facets relabelled by the vertex order (root colour, index), so equal keys
+mean isomorphic complexes on grounds of one size, whose forms are equal:
+the encoding is an isomorphism invariant, and the ghost count is the
+ground size less the vertex count.  The root colours rank each vertex's
+sorted facet sizes, so a stable sort of the non-ghost labels by those
+sizes gives the same order, and the key is read off the label masks
+before any colour is ranked.  A hit therefore builds none of the search's
+index-space set-up (``_root``), skips the ranking, the twin tests and the
+search, and returns the stored form; on [5], 345 keys are searched and the
+other 7,234 forms are hits.  The memo is exact for any batch, but it pays
+only where many inputs are relabellings of few, so each enumeration on [m]
+creates a fresh one and returns it with its classes, for ``classify_bier``'s dual
 lookups; it lives as long as the cached classes (345 entries on [5]).  A
 memo for every call would also keep each later search, the census spheres
 included, for as long as the process runs.  A call without a memo takes a
@@ -168,7 +168,7 @@ def _orbits(n: int, generators: list[list[int]]) -> list[int]:
 
 @lru_cache(maxsize=1 << MAX_CANON_VERTICES)
 def _positions(mask: int) -> tuple[int, ...]:
-    """The indices of the set bits of an index mask, in increasing order."""
+    """The indices of the set bits of a mask, in increasing order."""
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
@@ -304,22 +304,30 @@ def canonical_form(K: SimplicialComplex, memo: dict | None = None) -> CanonicalF
     every call of one batch, answers K without a search when an earlier
     complex relabelled to the same facets (see the module docstring); a
     call without one searches as it would with a fresh one."""
-    setup = _root(K)
-    if setup is None:
-        return CanonicalForm(K.m, K.m, ())
-    verts, masks, facets, sizes = setup
-    n = len(verts)
-    # the facets relabelled by the vertex order (root colour, index), which
-    # a stable sort by the sizes that the root colours rank gives: a complex
-    # isomorphic to K, so equal keys, ground size included, have equal forms
-    bit = [0] * n
-    for i, v in enumerate(sorted(range(n), key=sizes.__getitem__)):
+    m = K.m
+    # the facets relabelled by the vertex order (sorted facet sizes, label),
+    # the order (root colour, index) of the search: a complex isomorphic to
+    # K, so equal keys, ground size included, have equal forms; in increasing
+    # size order, each label's facet sizes come out sorted, and a ghost's are
+    # empty, so the ghosts come first
+    facets = sorted(map(_positions, K.facets), key=len)
+    sizes: list[list[int]] = [[] for _ in range(m)]
+    for face in facets:
+        size = len(face)
+        for i in face:
+            sizes[i].append(size)
+    ghosts = sizes.count([])
+    if ghosts == m:
+        return CanonicalForm(m, m, ())
+    bit = [0] * m
+    for i, v in enumerate(sorted(range(m), key=sizes.__getitem__)[ghosts:]):
         bit[v] = 1 << i
-    key = (K.m, tuple(sorted(sum(map(bit.__getitem__, face)) for face in facets)))
+    key = (m, tuple(sorted([sum(map(bit.__getitem__, face)) for face in facets])))
     memo = {} if memo is None else memo
     form = memo.get(key)
     if form is None:
-        form = memo[key] = CanonicalForm(K.m - n, K.m, _search(masks, facets, sizes)[0])
+        _, *search = _root(K)
+        form = memo[key] = CanonicalForm(ghosts, m, _search(*search)[0])
     return form
 
 

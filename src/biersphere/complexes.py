@@ -68,21 +68,38 @@ def submasks(mask: int):
         sub = (sub - 1) & mask
 
 
+def faces_of(facets) -> set[int]:
+    """Every face of the complex with these facet masks, the empty one too:
+    the face lister of ``f_vector`` and ``bier_sphere``."""
+    faces = {0}
+    add = faces.add
+    for f in facets:
+        sub = f
+        while sub:
+            add(sub)
+            sub = (sub - 1) & f
+    return faces
+
+
 def ridges_in_two(facets) -> bool:
     """Every codimension-1 subset of a member of the family of masks lies in
     exactly two members."""
-
-    # counted from a generator: a list of every ridge of a wide sphere would
-    # raise the peak memory
-    def ridges():
-        for f in facets:
-            rest = f
-            while rest:
-                low = rest & -rest
-                yield f ^ low
-                rest ^= low
-
-    return all(c == 2 for c in Counter(ridges()).values())
+    once: set[int] = set()  # the ridges seen, and those seen twice
+    twice: set[int] = set()
+    add_once, add_twice = once.add, twice.add
+    for f in facets:
+        rest = f
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            ridge = f ^ low
+            if ridge in once:
+                if ridge in twice:
+                    return False
+                add_twice(ridge)
+            else:
+                add_once(ridge)
+    return len(once) == len(twice)
 
 
 def h_of_f(f: tuple[int, ...]) -> tuple[int, ...]:
@@ -188,7 +205,10 @@ class SimplicialComplex(namedtuple("SimplicialComplex", "m facets")):
         return len(sizes) == 1
 
     def is_face(self, mask: int) -> bool:
-        return any(mask & ~f == 0 for f in self.facets)
+        for f in self.facets:
+            if not mask & ~f:
+                return True
+        return False
 
     def vertex_mask(self) -> int:
         """Mask of non-ghost vertices."""
@@ -207,10 +227,9 @@ class SimplicialComplex(namedtuple("SimplicialComplex", "m facets")):
         """(f_0, ..., f_{dim}); undefined for the empty complex."""
         if self.is_void_of_faces:
             raise DegenerateComplexError("empty complex has no f-vector")
-        counts = [0] * (self.dim + 2)
-        for face in {s for f in self.facets for s in submasks(f)}:
-            counts[face.bit_count()] += 1
-        return tuple(counts[1:])
+        counts = Counter(map(int.bit_count, faces_of(self.facets)))
+        # a tuple built from a generator keeps the slack of its growth
+        return tuple([counts[k] for k in range(1, max(counts) + 1)])
 
     def h_vector(self) -> tuple[int, ...]:
         """(h_0, ..., h_n) for a pure complex of dimension n-1.
@@ -226,7 +245,9 @@ class SimplicialComplex(namedtuple("SimplicialComplex", "m facets")):
         """Inclusion-minimal non-faces sorted by (size, mask); [] for the full
         simplex, ghost vertices as singletons.  A non-face is a set meeting the
         complement of every facet, so these are the minimal transversals of the
-        complements, grown one facet at a time (Berge multiplication).
+        complements, grown one facet at a time (Berge multiplication): the sets
+        that miss the next complement are grown by each of its labels b and
+        compared only with the kept sets that meet it exactly in b.
         """
         full = (1 << self.m) - 1
         family = [0]
@@ -234,16 +255,38 @@ class SimplicialComplex(namedtuple("SimplicialComplex", "m facets")):
         # their minimal transversals are at most as many as the final ones.
         for f in sorted(self.facets, reverse=True):
             comp = full & ~f
-            bits = [1 << (v - 1) for v in vertices_of(comp)]
-            kept = [t for t in family if t & comp]
-            grown = [t | b for t in family if not t & comp for b in bits]
+            kept = []  # the sets that already meet comp
+            free = []  # the others, each grown by every label b of comp
+            for t in family:
+                if t & comp:
+                    kept.append(t)
+                else:
+                    free.append(t)
+            if not free:
+                continue
             # A grown t + b lies in no other (t + b in t' + b' forces t = t' in an
             # antichain), so only kept sets are compared: those meeting comp in b.
             near: dict[int, list[int]] = {}
             for k in kept:
                 near.setdefault(k & comp, []).append(k)
-            family = kept + [s for s in grown if all(k & ~s for k in near.get(s & comp, ()))]
-        family.sort(key=lambda x: (x.bit_count(), x))
+            rest = comp
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                above = near.get(b)
+                if above is None:
+                    kept += [t | b for t in free]
+                    continue
+                for t in free:
+                    s = t | b
+                    for k in above:
+                        if not k & ~s:
+                            break
+                    else:
+                        kept.append(s)
+            family = kept
+        family.sort()
+        family.sort(key=int.bit_count)  # stable: (size, mask)
         return family
 
     def is_flag(self) -> bool:

@@ -188,6 +188,12 @@ def test_bier_sphere_is_the_join_on_wide_grounds(m, k):
 
 
 SKELETON = SimplicialComplex.from_facets(8, list(itertools.combinations(range(1, 9), 3)))
+TIED = SimplicialComplex.from_facets(
+    5, [[1, 2], [1, 3], [2, 3], [1, 4], [2, 4], [1, 5], [2, 5], [3, 4, 5]]
+)
+HALVES = SimplicialComplex.from_facets(
+    6, [[1, 3, 4, 5], [1, 3, 4, 6], [1, 4, 5, 6], [2, 3], [3, 4, 5, 6]]
+)
 
 
 @pytest.mark.parametrize(
@@ -199,22 +205,36 @@ SKELETON = SimplicialComplex.from_facets(8, list(itertools.combinations(range(1,
         # sum 2^|F| is 448 > 2^8, so the sums decide: the dual's is 1,120;
         # K has 93 faces and its dual 163
         (SKELETON, SKELETON),
+        # both sums are 36 > 2^5, so the dual's faces are counted: 15, and
+        # K has the other 17
+        (TIED, alexander_dual(TIED)),
+        # and from the other side: the dual's 17 faces are counted, K replayed
+        (alexander_dual(TIED), alexander_dual(TIED)),
+        # sums 68 and 68 > 2^6, 32 faces each: K on a tie
+        (HALVES, HALVES),
     ],
-    ids=["simplex-boundary-20", "dual-of-wide-12", "skeleton-8"],
+    ids=[
+        "simplex-boundary-20",
+        "dual-of-wide-12",
+        "skeleton-8",
+        "tied-sums-5",
+        "tied-dual-5",
+        "tied-faces-6",
+    ],
 )
 def test_bier_sphere_replays_the_side_with_fewer_faces(monkeypatch, K, replayed_side):
     replayed = []
     replay = bier._flip_replay
 
     def counted(m, faces):
-        replayed.append(len(faces))
+        replayed.append(faces)
         return replay(m, faces)
 
     monkeypatch.setattr(bier, "_flip_replay", counted)
     start = time.process_time()
     S = bier_sphere(K)
     assert time.process_time() - start < 1.0
-    assert replayed == [len(all_faces(replayed_side)) - 1]
+    assert replayed == [sorted(all_faces(replayed_side))[1:]]
     assert S.complex == deleted_join(K, alexander_dual(K))
 
 

@@ -327,6 +327,44 @@ def test_memo_agrees_with_the_search_on_every_antichain(monkeypatch):
     assert 10 * len(memo) < checked  # most forms came from the memo
 
 
+def index_space_key(K):
+    """The memo key as taken off the search's set-up: the ground size and the
+    facets in index space relabelled by the vertex order (sorted facet sizes,
+    index)."""
+    _, _, facets, sizes = classify._root(K)
+    bit = [0] * len(sizes)
+    for i, v in enumerate(sorted(range(len(sizes)), key=sizes.__getitem__)):
+        bit[v] = 1 << i
+    return (K.m, tuple(sorted(sum(map(bit.__getitem__, face)) for face in facets)))
+
+
+class KeyLog(dict):
+    """A memo that records the key of every lookup."""
+
+    def __init__(self):
+        super().__init__()
+        self.keys = []
+
+    def get(self, key, default=None):
+        self.keys.append(key)
+        return super().get(key, default)
+
+
+def test_memo_key_is_the_index_space_key(monkeypatch):
+    # every antichain on [4] and [5], and each relabelled onto random subsets
+    # of [6] and [7], so ghosts sit among the labels
+    rng = random.Random(53)
+    memo, expected = KeyLog(), []
+    for m in (4, 5):
+        for K in census_inputs(monkeypatch, m):
+            for J in (K, onto_ground(K, 6, rng), onto_ground(K, 7, rng)):
+                if J.vertex_mask():  # the all-ghost complex takes no key
+                    canonical_form(J, memo)
+                    expected.append(index_space_key(J))
+    assert memo.keys == expected
+    assert len(expected) == 3 * (166 + 7579 - 2)
+
+
 def count_searches(monkeypatch):
     calls = [0]
     search = classify._search

@@ -48,6 +48,25 @@ def brute_force_minimal_non_faces(K):
     return out
 
 
+def berge_oracle(K):
+    """Minimal non-faces as minimal transversals of the facet complements,
+    grown one facet at a time (Berge multiplication) with comprehensions and
+    a (size, mask) key: an oracle for grounds too wide for the 2^m scan."""
+    full = (1 << K.m) - 1
+    family = [0]
+    for f in sorted(K.facets, reverse=True):
+        comp = full & ~f
+        bits = [1 << (v - 1) for v in vertices_of(comp)]
+        kept = [t for t in family if t & comp]
+        grown = [t | b for t in family if not t & comp for b in bits]
+        near: dict[int, list[int]] = {}
+        for k in kept:
+            near.setdefault(k & comp, []).append(k)
+        family = kept + [s for s in grown if all(k & ~s for k in near.get(s & comp, ()))]
+    family.sort(key=lambda x: (x.bit_count(), x))
+    return family
+
+
 def test_mask_roundtrip():
     assert mask_of([1, 3, 4]) == 0b1101
     assert list(vertices_of(0b1101)) == [1, 3, 4]

@@ -25,6 +25,7 @@ from biersphere.classify import _canonical_search, canonical_form  # noqa: E402
 from biersphere.complexes import (  # noqa: E402
     SimplicialComplex,
     _antichain,
+    faces_of,
     ridges_in_two,
     submasks,
     vertices_of,
@@ -37,7 +38,11 @@ from test_classify import (  # noqa: E402
     onto_ground,
     random_complex,
 )
-from test_complexes import brute_force_minimal_non_faces  # noqa: E402
+from test_complexes import (  # noqa: E402
+    berge_oracle,
+    brute_force_minimal_non_faces,
+    faces_brute,
+)
 
 
 @st.composite
@@ -71,6 +76,33 @@ def test_minimal_non_faces_rebuild_the_complex(K):
     faces = [s for s in range(1 << K.m) if not any(s & n == n for n in mnf)]
     assert SimplicialComplex(K.m, _antichain(faces)) == K
     assert mnf == brute_force_minimal_non_faces(K)
+
+
+@st.composite
+def wide_few_facet_complexes(draw):
+    """One to four random facets on a ground of 20 to 64 labels, where the
+    2^m scan is out of reach."""
+    m = draw(st.integers(20, 64))
+    full = (1 << m) - 1
+    masks = draw(st.lists(st.integers(0, full - 1), min_size=1, max_size=4))
+    return SimplicialComplex(m, _antichain(masks))
+
+
+@settings(deadline=None, max_examples=60)
+@given(wide_few_facet_complexes())
+@example(SimplicialComplex.simplex_boundary(24))
+@example(SimplicialComplex.empty(64))
+def test_minimal_non_faces_match_the_berge_oracle_on_wide_grounds(K):
+    assert K.minimal_non_faces() == berge_oracle(K)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(1, 8).flatmap(lambda m: st.lists(st.integers(0, (1 << m) - 1), max_size=6)))
+@example([])  # the empty face even without facets
+@example([0])
+@example([0b00111, 0b01110, 0b10000])
+def test_faces_of_matches_the_submask_listing(facets):
+    assert faces_of(facets) == faces_brute(facets, 8)
 
 
 @settings(deadline=None, max_examples=150)
@@ -205,6 +237,7 @@ def ridges_in_two_oracle(family):
 @given(pure_families())
 @example(frozenset())
 @example(SimplicialComplex.simplex_boundary(4).facets)
+@example(frozenset({0b00111, 0b01011, 0b10011}))  # a ridge in three members
 def test_ridges_in_two_matches_the_ridge_count(family):
     assert ridges_in_two(family) == ridges_in_two_oracle(family)
 
