@@ -47,18 +47,21 @@ the encoding is an isomorphism invariant, and the ghost count is the
 ground size less the vertex count.  The root colours rank each vertex's
 sorted facet sizes, so a stable sort of the non-ghost labels by those
 sizes gives the same order, and the key is read off the label masks
-before any colour is ranked.  A hit therefore builds none of the search's
-index-space set-up (``_root``), skips the ranking, the twin tests and the
-search, and returns the stored form; on [5], 345 keys are searched and the
-other 7,234 forms are hits.  The memo is exact for any batch, but it pays
-only where many inputs are relabellings of few, so each enumeration on [m]
-creates a fresh one and returns it with its classes, for ``classify_bier``'s dual
-lookups; it lives as long as the cached classes (345 entries on [5]).  A
-memo for every call would also keep each later search, the census spheres
+before any colour is ranked.  The key's masks are also the search's only
+input (``_relabelled`` is the one way into index space): the search is
+label-equivariant, and inside a root cell the key order is the label
+order, so a search of the key's masks visits the same tree as one of K's
+labels taken in increasing order and ends at the same first leaf.  A hit
+skips the ranking, the twin tests and the search, and returns the stored
+form; on [5], 345 keys are searched and the other 7,234 forms are hits.
+The memo is exact for any batch, but it pays only where many inputs are
+relabellings of few, so each enumeration on [m] creates a fresh one and
+returns it with its classes, for ``classify_bier``'s dual lookups; it
+lives as long as the cached classes (345 entries on [5]).  A memo for
+every call would also keep each later search, the census spheres
 included, for as long as the process runs.  A call without a memo takes a
-fresh one, so every call takes the key; a key costs about 2% of a census
-sphere's set-up and search, a few milliseconds over the spheres a census
-searches.
+fresh one; its key is then the search's input, so it costs no more than
+the relabelling that the search needs anyway.
 
 The census searches one Bier sphere per pair of dual classes.  Bier(K^) is
 Bier(K) with the x and y sides swapped, since K^^ = K and the deleted join
@@ -177,71 +180,73 @@ def _encoding(facets: list[tuple[int, ...]], labels: list[int]) -> tuple:
     return tuple(sorted([tuple(sorted(map(labels.__getitem__, f))) for f in facets]))
 
 
-def _root(K: SimplicialComplex):
-    """The set-up of a search, in index space: (non-ghost labels, facet
-    masks over vertex indices, their positions, each vertex's sorted facet
-    sizes), or None when K has no vertex."""
-    support = K.vertex_mask()
-    n = support.bit_count()
-    if n > MAX_CANON_VERTICES:
-        raise ValueError(f"too many non-ghost vertices ({n} > {MAX_CANON_VERTICES})")
-    if not n:
-        return None
-    # vertex index i stands for the i-th non-ghost label; when those are
-    # 1..n, each facet mask already is the mask of its vertex indices
-    masks = K.facets
-    if support == (1 << n) - 1:
-        verts = range(1, n + 1)
-    else:
-        verts = vertices_of(support)
-        bits = [1 << (v - 1) for v in verts]
-        masks = frozenset(sum(1 << i for i, b in enumerate(bits) if f & b) for f in masks)
-    # views, twin tests and leaf encodings are sorted or set-based, so the
-    # facet order does not matter; in increasing size order, each vertex's
-    # facet sizes come out sorted
+def _by_size(masks, n: int) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """The facets' positions in increasing size order, and the sorted sizes
+    of the facets through each position below n."""
     facets = sorted(map(_positions, masks), key=len)
-    facet_sizes: list[list[int]] = [[] for _ in verts]
+    sizes: list[list[int]] = [[] for _ in range(n)]
     for face in facets:
         size = len(face)
         for i in face:
-            facet_sizes[i].append(size)
-    return verts, masks, facets, facet_sizes
+            sizes[i].append(size)
+    return facets, sizes
+
+
+def _relabelled(K: SimplicialComplex) -> tuple[int, list[int], tuple[int, ...]]:
+    """K in vertex-index space: (ghost count, the non-ghost labels less one
+    in vertex order, the facet masks over vertex indices, sorted).
+
+    The vertex order is (sorted facet sizes, label), the order (root colour,
+    index) of the search, so the masks are a complex isomorphic to K and,
+    with the ground size, the memo key.  Every refinement cell lies in one
+    root cell, inside which this order is the label order, so the search
+    branches on a cell's vertices in label order."""
+    m = K.m
+    facets, sizes = _by_size(K.facets, m)
+    ghosts = sizes.count([])  # a ghost's sizes are empty, so the ghosts come first
+    if m - ghosts > MAX_CANON_VERTICES:
+        raise ValueError(f"too many non-ghost vertices ({m - ghosts} > {MAX_CANON_VERTICES})")
+    order = sorted(range(m), key=sizes.__getitem__)[ghosts:]
+    bit = [0] * m
+    for i, v in enumerate(order):
+        bit[v] = 1 << i
+    masks = tuple(sorted([sum(map(bit.__getitem__, face)) for face in facets]))
+    return ghosts, order, masks
 
 
 def _canonical_search(K: SimplicialComplex):
     """Return (canonical facet encoding, labeling old->new) for non-ghosts."""
-    setup = _root(K)
-    if setup is None:
+    _, order, masks = _relabelled(K)
+    if not order:
         return (), {}
-    verts, *search = setup
-    enc, labels = _search(*search)
-    return enc, dict(zip(verts, labels))
+    enc, labels = _search(masks)
+    return enc, {v + 1: label for v, label in sorted(zip(order, labels))}
 
 
-def _search(
-    masks: frozenset[int],
-    facets: list[tuple[int, ...]],
-    facet_sizes: list[list[int]],
-) -> tuple[tuple, list[int]]:
-    """The search from the root colouring, which ranks the sorted sizes of
-    each vertex's facets as one round from the uniform colouring would:
-    (least encoding, labels 1..n of the first leaf that attains it), over
-    vertex indices."""
+def _search(masks: tuple[int, ...]) -> tuple[tuple, list[int]]:
+    """The search over the vertex indices of masks from the root colouring,
+    which ranks the sorted sizes of each vertex's facets as one round from
+    the uniform colouring would: (least encoding, labels 1..n of the first
+    leaf that attains it), over vertex indices."""
+    n = max(masks).bit_length()  # indices 0..n-1 all occur, the last in the greatest
+    # views, twin tests and leaf encodings are sorted or set-based, so the
+    # facet order does not matter
+    facets, facet_sizes = _by_size(masks, n)
     profiles = list(map(tuple, facet_sizes))
     rank = {s: c for c, s in enumerate(sorted(set(profiles)))}
     root = list(map(rank.__getitem__, profiles))
-    n = len(root)
     # v and w are twins when swapping them maps K onto itself; twins share a
     # root colour, and the relation is an equivalence, so each class is named
     # by its least vertex, and w is tested against the earlier class heads of
     # its root colour only
+    faceset = set(masks)
     twin = list(range(n))
     heads: dict[int, list[int]] = {}
     for w in range(n):
         same_root = heads.setdefault(root[w], [])
         for v in same_root:
             pair = 1 << v | 1 << w
-            if all(f ^ pair in masks for f in masks if f & pair not in (0, pair)):
+            if all(f ^ pair in faceset for f in masks if f & pair not in (0, pair)):
                 twin[w] = v
                 break
         else:
@@ -305,29 +310,14 @@ def canonical_form(K: SimplicialComplex, memo: dict | None = None) -> CanonicalF
     complex relabelled to the same facets (see the module docstring); a
     call without one searches as it would with a fresh one."""
     m = K.m
-    # the facets relabelled by the vertex order (sorted facet sizes, label),
-    # the order (root colour, index) of the search: a complex isomorphic to
-    # K, so equal keys, ground size included, have equal forms; in increasing
-    # size order, each label's facet sizes come out sorted, and a ghost's are
-    # empty, so the ghosts come first
-    facets = sorted(map(_positions, K.facets), key=len)
-    sizes: list[list[int]] = [[] for _ in range(m)]
-    for face in facets:
-        size = len(face)
-        for i in face:
-            sizes[i].append(size)
-    ghosts = sizes.count([])
-    if ghosts == m:
+    ghosts, order, masks = _relabelled(K)
+    if not order:
         return CanonicalForm(m, m, ())
-    bit = [0] * m
-    for i, v in enumerate(sorted(range(m), key=sizes.__getitem__)[ghosts:]):
-        bit[v] = 1 << i
-    key = (m, tuple(sorted([sum(map(bit.__getitem__, face)) for face in facets])))
     memo = {} if memo is None else memo
+    key = (m, masks)
     form = memo.get(key)
     if form is None:
-        _, *search = _root(K)
-        form = memo[key] = CanonicalForm(ghosts, m, _search(*search)[0])
+        form = memo[key] = CanonicalForm(ghosts, m, _search(masks)[0])
     return form
 
 

@@ -328,12 +328,14 @@ def test_memo_agrees_with_the_search_on_every_antichain(monkeypatch):
 
 
 def index_space_key(K):
-    """The memo key as taken off the search's set-up: the ground size and the
-    facets in index space relabelled by the vertex order (sorted facet sizes,
-    index)."""
-    _, _, facets, sizes = classify._root(K)
-    bit = [0] * len(sizes)
-    for i, v in enumerate(sorted(range(len(sizes)), key=sizes.__getitem__)):
+    """The memo key, computed apart from classify: the non-ghost labels in
+    increasing order become vertex indices 0..n-1, then the facets over those
+    indices are relabelled by the vertex order (sorted facet sizes, index)."""
+    index = {v: i for i, v in enumerate(vertices_of(K.vertex_mask()))}
+    facets = [[index[v] for v in vertices_of(f)] for f in K.facets]
+    sizes = [sorted(len(face) for face in facets if i in face) for i in range(len(index))]
+    bit = [0] * len(index)
+    for i, v in enumerate(sorted(range(len(index)), key=sizes.__getitem__)):
         bit[v] = 1 << i
     return (K.m, tuple(sorted(sum(map(bit.__getitem__, face)) for face in facets)))
 
@@ -391,7 +393,8 @@ def test_census_searches_once_per_relabelling_class(monkeypatch):
 def test_pruned_search_matches_brute_force_on_every_antichain(monkeypatch):
     # each antichain on [4] as the census gives it, and relabelled onto a
     # random 4-subset of [6], which brings ghosts and a support other than
-    # 1..n: both ways into index space
+    # 1..n: both kinds of support, each of which reaches the search only
+    # through the memo key's relabelling
     rng = random.Random(31)
     index_space = set()
     for K in census_inputs(monkeypatch, 4):
@@ -524,8 +527,23 @@ def test_distinct_types_are_not_isomorphic():
 
 
 def test_size_bound():
-    with pytest.raises(ValueError):
-        canonical_form(SimplicialComplex.simplex(MAX_CANON_VERTICES + 1))
+    # one vertex over the cap is refused on every way into the search: with
+    # and without a memo, through isomorphic, and with ghosts among the labels
+    over = SimplicialComplex.simplex(MAX_CANON_VERTICES + 1)
+    ghosted = onto_ground(over, 15, random.Random(41))  # 13 vertices on [15]
+    message = r"too many non-ghost vertices \(13 > 12\)"
+    memo = {}
+    for K in (over, ghosted):
+        with pytest.raises(ValueError, match=message):
+            canonical_form(K)
+        with pytest.raises(ValueError, match=message):
+            canonical_form(K, memo)
+        with pytest.raises(ValueError, match=message):
+            isomorphic(K, K)
+    assert memo == {}
+    # at the cap, ghosts among the labels do not count
+    at_cap = onto_ground(SimplicialComplex.simplex(MAX_CANON_VERTICES), 15, random.Random(43))
+    assert canonical_form(at_cap) == (3, 15, (tuple(range(1, MAX_CANON_VERTICES + 1)),))
 
 
 def test_enumeration_counts():
