@@ -227,17 +227,8 @@ def realize_nestohedron(B: BuildingSet) -> NestohedronRealization:
     return _realize(B, dict.fromkeys(B.elements, 1), _forest_orderings(B))
 
 
-class NerveComplex(namedtuple("NerveComplex", "complex labels")):
-    """Boundary complex of the dual simplicial polytope, labelled per vertex."""
-
-    __slots__ = ()
-
-    def labelled_facets(self) -> frozenset[frozenset[str]]:
-        """Facets as sets of labels: equal for two nerves exactly when they
-        are the same labelled complex, whatever their vertex order."""
-        return frozenset(
-            frozenset(self.labels[v - 1] for v in vertices_of(f)) for f in self.complex.facets
-        )
+# boundary complex of the dual simplicial polytope, labelled per vertex
+NerveComplex = namedtuple("NerveComplex", "complex labels")
 
 
 def nerve_of_realization(R: NestohedronRealization) -> NerveComplex:
@@ -254,39 +245,39 @@ def nerve_of_realization(R: NestohedronRealization) -> NerveComplex:
 
 
 def nerve_by_truncation(B: BuildingSet) -> NerveComplex:
-    """Nerve complex built by stellar subdivisions along the truncation lemma.
+    """The nerve of the nestohedron of B by the truncation lemma.
 
-    Starts from the boundary of the simplex on the singleton labels and
-    subdivides at the face spanned by the minimal decomposition of each
-    non-simplex element, processed in inclusion-reverse order.
+    The nestohedron is the simplex with the face of each element of B
+    truncated, largest first (Feichtner-Sturmfels 2005; Postnikov 2009), and
+    truncating a face of a simple polytope stellarly subdivides its nerve at
+    the dual face.  So the nerve is the boundary of the simplex on the
+    singletons, vertex i for {i}, subdivided at the face of S's singletons
+    for each proper non-singleton element S, by size descending, then
+    lexicographically.  That is the order of B.proper_elements(), in which
+    realize_nestohedron numbers its halfspaces, so the record equals
+    nerve_of_realization's, labels and vertex numbers included.
+
+    Proof that S's singleton face is the face to subdivide, and is there:
+    every element placed before S besides the singletons is at least as
+    large as S and differs from it, so none lies inside S, and S's maximal
+    sub-elements so far are exactly its singletons.  Subdividing at an
+    earlier T keeps every face that does not contain T's singleton face, so
+    S's singleton face, a face of the simplex boundary as S is proper, is
+    still present.
     """
     if not B.is_connected:
         raise BuildingSetError("truncation nerve requires a connected building set")
     n1 = B.n_plus_1
-    base = {frozenset({i}) for i in range(1, n1 + 1)} | {B.full_set}
-    if not base <= B.elements:
+    singles = [frozenset({i}) for i in range(1, n1 + 1)]
+    if not B.elements.issuperset(singles):
         raise BuildingSetError("building set must contain the simplex building set")
+    rest = sorted(B.elements - {*singles, B.full_set}, key=lambda s: (-len(s), tuple(sorted(s))))
     K = SimplicialComplex.simplex_boundary(n1)
-    labels = [frozenset({i}) for i in range(1, n1 + 1)]
-    todo = sorted(
-        B.elements - base, key=lambda s: (-len(s), tuple(sorted(s)))
-    )
-    current = set(base)
-    for S in todo:
-        maximal = [
-            e for e in current
-            if e < S and not any(e < other < S for other in current)
-        ]
-        covered = frozenset().union(*maximal)
-        if covered != S or sum(len(e) for e in maximal) != len(S):
-            raise BuildingSetError(f"no disjoint decomposition of {sorted(S)}")
-        face = mask_of(labels.index(e) + 1 for e in maximal)
-        if not K.is_face(face):
-            raise BuildingSetError(f"decomposition of {sorted(S)} is not a face; bad order")
-        K = K.stellar_subdivision(face)
-        labels.append(S)
-        current.add(S)
-    return NerveComplex(K, tuple(element_label(s) for s in labels))
+    for S in rest:
+        if not S or not S <= B.full_set:
+            raise BuildingSetError(f"element {sorted(S)} not a nonempty subset of [{n1}]")
+        K = K.stellar_subdivision(mask_of(S))
+    return NerveComplex(K, tuple(map(element_label, singles + rest)))
 
 
 def delzant_check(R: NestohedronRealization, Lambda) -> bool:

@@ -402,9 +402,7 @@ BierClass = namedtuple(
 )
 
 
-class ClassificationReport(
-    namedtuple("ClassificationReport", "m total_complexes classes", defaults=((),))
-):
+class ClassificationReport(namedtuple("ClassificationReport", "m total_complexes classes")):
     __slots__ = ()
 
     @property

@@ -126,9 +126,9 @@ def cmd_invariants(args) -> int:
         return K, None if source_m is None else json_int(source_m)
 
     K, source_m = _load(args.input, parse, "complex")
-    f = K.f_vector()
     if not K.is_pure():
         raise ValueError("h-vector requires a pure complex")
+    f = K.f_vector()
     mf = K.minimal_non_faces()
     if source_m is not None and 2 * source_m == K.m:
         rendered = render_mf(mf, source_m)

@@ -15,6 +15,7 @@ from biersphere.building import (
     _forest_orderings,
     _realize,
     delzant_check,
+    element_label,
     nerve_by_truncation,
     nerve_of_realization,
     realize_nestohedron,
@@ -22,7 +23,7 @@ from biersphere.building import (
     validate_building_set,
     write_off,
 )
-from biersphere.classify import MAX_CANON_VERTICES, canonical_form
+from biersphere.classify import canonical_form
 from biersphere.cli import main
 from biersphere.complexes import SimplicialComplex, _antichain, mask_of
 from biersphere.toric import CharMatrix, det_int, fenn_charmap
@@ -177,6 +178,20 @@ def test_realization_requires_connected():
         realize_nestohedron(B)
     with pytest.raises(BuildingSetError):
         nerve_by_truncation(B)
+    # records built without validate_building_set: a missing singleton, the
+    # empty set and a label off the ground are refused, as the oracle does
+    ground = frozenset({1, 2, 3, 4})
+    singles = {frozenset({i}) for i in ground}
+    for elements, match in [
+        ((singles - {frozenset({4})}) | {ground}, "simplex building set"),
+        (singles | {ground, frozenset()}, "nonempty"),
+        (singles | {ground, frozenset({1, 2, 3}), frozenset({1, 5})}, r"\[1, 5\] not a nonempty"),
+    ]:
+        B = BuildingSet(4, frozenset(elements))
+        with pytest.raises(BuildingSetError, match=match):
+            nerve_by_truncation(B)
+        with pytest.raises(ValueError):
+            nerve_by_decomposition_search(B)
 
 
 def test_truncation_nerve_starts_at_simplex():
@@ -282,13 +297,40 @@ def nerve_by_facet_scan(R: NestohedronRealization) -> NerveComplex:
     return NerveComplex(K, tuple(R.halfspaces[h].label for h in active))
 
 
+def nerve_by_decomposition_search(B: BuildingSet) -> NerveComplex:
+    """Oracle: the truncation as a search.  Start from the boundary of the
+    simplex on the singletons; for each other proper element S, largest
+    first, find the maximal elements placed so far inside S, require them to
+    partition S and to span a face, and subdivide at that face."""
+    if not B.is_connected:
+        raise BuildingSetError("truncation nerve requires a connected building set")
+    n1 = B.n_plus_1
+    base = {frozenset({i}) for i in range(1, n1 + 1)} | {B.full_set}
+    if not base <= B.elements:
+        raise BuildingSetError("building set must contain the simplex building set")
+    K = SimplicialComplex.simplex_boundary(n1)
+    labels = [frozenset({i}) for i in range(1, n1 + 1)]
+    current = set(base)
+    for S in sorted(B.elements - base, key=lambda s: (-len(s), tuple(sorted(s)))):
+        maximal = [e for e in current if e < S and not any(e < o < S for o in current)]
+        if frozenset().union(*maximal) != S or sum(map(len, maximal)) != len(S):
+            raise BuildingSetError(f"no disjoint decomposition of {sorted(S)}")
+        face = mask_of(labels.index(e) + 1 for e in maximal)
+        if not K.is_face(face):
+            raise BuildingSetError(f"decomposition of {sorted(S)} is not a face; bad order")
+        K = K.stellar_subdivision(face)
+        labels.append(S)
+        current.add(S)
+    return NerveComplex(K, tuple(element_label(s) for s in labels))
+
+
 def test_nerve_matches_the_facet_scan_on_every_building_set_on_4():
     count = 0
     for B in connected_building_sets_on(4):
         R = realize_nestohedron(B)
         direct = nerve_of_realization(R)
         assert direct == nerve_by_facet_scan(R)
-        assert direct.labelled_facets() == nerve_by_truncation(B).labelled_facets()
+        assert direct == nerve_by_truncation(B) == nerve_by_decomposition_search(B)
         count += 1
     assert count == 378
 
@@ -311,14 +353,8 @@ def test_two_paths_agree():
     inputs += [permutohedron_set(4), associahedron_set(5)]
     inputs += [permutohedron_set(6), associahedron_set(6)]
     for B in inputs:
-        trunc = nerve_by_truncation(B)
         direct = nerve_of_realization(realize_nestohedron(B))
-        assert trunc.labelled_facets() == direct.labelled_facets()
-        m = max(trunc.complex.m, direct.complex.m)
-        if m <= MAX_CANON_VERTICES:
-            assert canonical_form(trunc.complex.with_ground(m)) == canonical_form(
-                direct.complex.with_ground(m)
-            )
+        assert nerve_by_truncation(B) == direct == nerve_by_decomposition_search(B)
 
 
 def test_realizations_pinned():

@@ -191,6 +191,21 @@ def test_invariants_non_pure_is_domain_error(capsys, tmp_path):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_invariants_refuses_non_pure_before_listing_faces(capsys, tmp_path, monkeypatch):
+    # a non-pure complex with one wide facet is refused before its 2^|F|
+    # faces are listed
+    from biersphere.complexes import SimplicialComplex
+
+    def refused(self):
+        raise AssertionError("faces listed")
+
+    monkeypatch.setattr(SimplicialComplex, "f_vector", refused)
+    path = write(tmp_path / "np.json", {"m": 64, "facets": [list(range(1, 31)), [64]]})
+    code, out, err = run(capsys, "invariants", path)
+    assert (code, out) == (2, "")
+    assert err == "error: h-vector requires a pure complex\n"
+
+
 def test_classify(capsys, tmp_path):
     out_dir = tmp_path / "cls"
     code, _, _ = run(capsys, "classify", "--m", "4", "--out", str(out_dir))

@@ -18,6 +18,8 @@ from biersphere.bier import (  # noqa: E402
 )
 from biersphere.building import (  # noqa: E402
     _forest_orderings,
+    nerve_by_truncation,
+    nerve_of_realization,
     realize_nestohedron,
     validate_building_set,
 )
@@ -32,7 +34,7 @@ from biersphere.complexes import (  # noqa: E402
 )
 from biersphere.verify import is_mf_of  # noqa: E402
 from test_bier import bier_mf_formula_oracle, deleted_join_oracle  # noqa: E402
-from test_building import assert_matches_oracle  # noqa: E402
+from test_building import assert_matches_oracle, nerve_by_decomposition_search  # noqa: E402
 from test_classify import (  # noqa: E402
     brute_force_canonical_search,
     onto_ground,
@@ -243,10 +245,10 @@ def test_ridges_in_two_matches_the_ridge_count(family):
 
 
 @st.composite
-def connected_building_sets(draw):
-    """Singletons, the full set and a few random subsets of [4] or [5],
-    closed under unions of intersecting pairs."""
-    n1 = draw(st.sampled_from([4, 5]))
+def connected_building_sets(draw, sizes=(4, 5)):
+    """Singletons, the full set and a few random subsets of [n1], n1 drawn
+    from sizes, closed under unions of intersecting pairs."""
+    n1 = draw(st.sampled_from(sizes))
     ground = frozenset(range(1, n1 + 1))
     extra = draw(st.lists(st.frozensets(st.integers(1, n1), min_size=2, max_size=n1), max_size=5))
     elements = {frozenset({i}) for i in ground} | {ground} | set(extra)
@@ -263,3 +265,13 @@ def test_orderings_match_brute_force(B):
     R = realize_nestohedron(B)
     assert len(_forest_orderings(B)) == len(R.vertices)  # one B-forest per vertex
     assert_matches_oracle(R)
+
+
+@settings(deadline=None, max_examples=100)
+@given(connected_building_sets(sizes=(5, 6)))
+def test_truncation_nerve_is_the_realization_nerve(B):
+    # the same record, labels and vertex numbers included, as the nerve of
+    # the certified realization and as the decomposition-search oracle
+    trunc = nerve_by_truncation(B)
+    assert trunc == nerve_of_realization(realize_nestohedron(B))
+    assert trunc == nerve_by_decomposition_search(B)
