@@ -306,10 +306,10 @@ def realize_p6():
     here: the verify rows `type 6 nerve` and `type 6 Delzant` certify the
     rest.
     """
-    from . import golden
     from .toric import fenn_charmap
 
-    B1 = golden.golden_building_set(1)
+    B1 = BuildingSet(4, frozenset(  # the singletons, the four triples and [4]
+        frozenset(T) for k in (1, 3, 4) for T in combinations(range(1, 5), k)))
     y = {frozenset(T): 1 for T in [(1, 4), (2, 4), (3, 4), *combinations((1, 2, 3, 4), 3)]}
     y.update({frozenset({4}): -2, frozenset({1, 2, 3, 4}): -2})
     return _realize(B1, y, permutations(range(4))), fenn_charmap(B1)

@@ -82,6 +82,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
+from . import golden
 from .bier import alexander_dual, bier_mf_formula, bier_sphere, render_mf
 from .complexes import SimplicialComplex, h_of_f, vertices_of
 
@@ -411,6 +412,12 @@ class ClassificationReport(namedtuple("ClassificationReport", "m total_complexes
 
 
 @lru_cache(maxsize=None)
+def _golden_index_by_form() -> dict[CanonicalForm, int]:
+    """The canonical form of each golden sphere, mapped to its published index."""
+    return {canonical_form(golden.golden_sphere(i)): i for i in golden.MF_TABLES}
+
+
+@lru_cache(maxsize=None)
 def classify_bier(m: int) -> ClassificationReport:
     """Group the Bier spheres of all complex classes on [m] by combinatorial type.
 
@@ -419,8 +426,6 @@ def classify_bier(m: int) -> ClassificationReport:
     attached from the shipped golden tables.  Dual classes share one sphere
     search (see the module docstring).
     """
-    from . import golden
-
     if not 2 <= m <= MAX_CENSUS_M:
         raise ValueError(f"classification supported for 2 <= m <= {MAX_CENSUS_M}")
     enumerated, memo = _enumerate_cached(m)  # a dual is an antichain on [m], so a hit
@@ -435,7 +440,7 @@ def classify_bier(m: int) -> ClassificationReport:
             shared[canonical_form(alexander_dual(K), memo)] = form
         groups.setdefault(form, (K, sphere, []))[2].append(idx)
 
-    lookup = golden.sphere_index_by_canonical_form() if m == 4 else {}
+    lookup = _golden_index_by_form() if m == golden.SOURCE_M else {}
     keyed = []
     for form, (K, sphere, sources) in groups.items():
         f = sphere.f_vector()

@@ -1,10 +1,10 @@
 """Shipped golden tables for the two-dimensional census.
 
 The thirteen sphere types are pinned down by their minimal non-face tables
-in x/y notation; everything else (representatives, source complexes, the
-canonical-form lookup restoring the published numbering) is derived from
-those tables at runtime.  Matrices are stored row-wise with their published
-column order, given here as the per-type facet label listing.
+in x/y notation; the spheres themselves are rebuilt from those tables at
+runtime, and ``classify`` reads them to attach the published numbering.
+Matrices are stored row-wise with their published column order, given here
+as the per-type facet label listing.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from functools import lru_cache
 from .bier import alexander_dual
 from .building import BuildingSet, element_label
 from .complexes import SimplicialComplex, mask_of
-from .classify import CanonicalForm, canonical_form
 from .toric import CharMatrix
 
 SOURCE_M = 4
@@ -148,11 +147,6 @@ def golden_sphere(i: int) -> SimplicialComplex:
         m, frozenset(full & ~_parse_xy(tok) for tok in MF_TABLES[i].split())
     )
     return alexander_dual(dual)
-
-
-@lru_cache(maxsize=None)
-def sphere_index_by_canonical_form() -> dict[CanonicalForm, int]:
-    return {canonical_form(golden_sphere(i)): i for i in MF_TABLES}
 
 
 def golden_building_set(i: int):

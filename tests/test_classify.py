@@ -582,6 +582,9 @@ def test_classification_m4():
 def test_classification_m2():
     report = classify_bier(2)
     assert report.class_count == 1
+    # only the census on [4] carries the published numbering
+    for m in (2, 3):
+        assert {c.golden_index for c in classify_bier(m).classes} == {None}
 
 
 def test_classification_bounds():
@@ -608,11 +611,11 @@ def test_golden_sources_rebuild_their_spheres():
 def test_census_type_without_golden_index_fails_rows(monkeypatch, capsys):
     # a census sphere that matches no golden table gets golden_index None:
     # its rows read FAIL and verify-paper exits 3
-    lookup = golden.sphere_index_by_canonical_form()
+    lookup = classify._golden_index_by_form()
     dropped = min(golden.FLAG_INDICES)
     monkeypatch.setattr(
-        golden,
-        "sphere_index_by_canonical_form",
+        classify,
+        "_golden_index_by_form",
         lambda: {form: i for form, i in lookup.items() if i != dropped},
     )
     classify_bier.cache_clear()
