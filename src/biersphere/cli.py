@@ -1,17 +1,20 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 parse or IO error, 2 violated domain precondition,
-3 verification failure.  Every refusal of a well-formed input, by the library
-or by a command, is a ValueError, and ``main`` alone maps it to exit 2; the
-library raises AssertionError only for a failed construction certificate,
-which ``main`` maps to exit 3.
+Exit codes: 0 success, 1 parse or IO error (a stdout closed by its reader
+included), 2 violated domain precondition, 3 verification failure.  Every
+refusal of a well-formed input, by the library or by a command, is a
+ValueError, and ``main`` alone maps it to exit 2; the library raises
+AssertionError only for a failed construction certificate, which ``main``
+maps to exit 3.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from itertools import chain, islice
 from pathlib import Path
 
 from .bier import alexander_dual, bier_sphere, render_mf
@@ -82,18 +85,29 @@ def _load_building(path: str, nerve: bool) -> BuildingSet:
     return B
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+def _dump(obj, fh) -> None:
+    """Write ``json.dumps(obj, indent=2) + "\\n"`` to fh as it is encoded.
+
+    With an indent, dumps keeps every token until it joins them (about 8
+    times the text), and a write per token is a system call each on an
+    unbuffered stdout, so the tokens go out in joined batches."""
+    tokens = chain(json.JSONEncoder(indent=2).iterencode(obj), "\n")
+    while batch := "".join(islice(tokens, 4096)):
+        fh.write(batch)
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(_json_text(obj))
+    _dump(obj, sys.stdout)
 
 
-def _write(path, text: str) -> None:
+def _write(path, data) -> None:
+    """Write data to path: a str as it is, any other object as JSON."""
     try:
         with open(path, "w") as fh:
-            fh.write(text)
+            if isinstance(data, str):
+                fh.write(data)
+            else:
+                _dump(data, fh)
     except OSError as exc:
         raise CliError(EXIT_PARSE, f"cannot write {path}: {exc}")
 
@@ -163,17 +177,15 @@ def cmd_classify(args) -> int:
             "complex_file": f"{name}.json",
         }
         classes.append(rec)
-        _write(out / f"{name}.json", _json_text(c.representative.to_json_obj()))
+        _write(out / f"{name}.json", c.representative.to_json_obj())
     _write(
         out / "classes.json",
-        _json_text(
-            {
-                "m": report.m,
-                "total_complex_classes": report.total_complexes,
-                "class_count": report.class_count,
-                "classes": classes,
-            }
-        ),
+        {
+            "m": report.m,
+            "total_complex_classes": report.total_complexes,
+            "class_count": report.class_count,
+            "classes": classes,
+        },
     )
     lines = [
         f"# Bier sphere types on [{report.m}]",
@@ -228,12 +240,12 @@ def cmd_nestohedron(args) -> int:
     R = realize_nestohedron(B)
     if args.off:
         _write(args.off, write_off(R))
-        _write(args.off + ".json", _json_text(R.to_json_obj()))
+        _write(args.off + ".json", R.to_json_obj())
     if args.nerve:
         nerve = nerve_of_realization(R)
         obj = nerve.complex.to_json_obj()
         obj["labels"] = list(nerve.labels)
-        _write(args.nerve, _json_text(obj))
+        _write(args.nerve, obj)
     print(f"{len(R.vertices)} vertices, {len(R.halfspaces)} facets")
     return EXIT_OK
 
@@ -261,7 +273,7 @@ def cmd_verify_paper(args) -> int:
     summary = verify_paper()
     if args.out:
         out = _out_dir(args.out)
-        _write(out / "summary.json", _json_text(summary.to_json_obj()))
+        _write(out / "summary.json", summary.to_json_obj())
         _write(out / "summary.md", summary.to_markdown())
     for r in summary.rows:
         mark = "PASS" if r.passed else "FAIL"
@@ -327,7 +339,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # stdout closed by its reader, as `| head` does
+        # what is still buffered goes to devnull at the interpreter's last flush
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        return EXIT_PARSE
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -4,14 +4,17 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 import biersphere
-from biersphere import golden
+from biersphere import cli, golden
+from biersphere.bier import alexander_dual, bier_sphere
 from biersphere.cli import main
+from biersphere.complexes import SimplicialComplex
 
 
 def write(path, obj):
@@ -500,14 +503,95 @@ def test_refused_input(capsys, tmp_path, monkeypatch, name):
     assert_refused(tmp_path, inputs, code, reason, run(capsys, *argv))
 
 
+def module_env(**env):
+    """The environment for ``python -m biersphere.cli`` on this checkout."""
+    path = [str(Path(biersphere.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), **env}
+
+
 def test_refused_input_through_module_entry(tmp_path):
     argv, inputs, code, reason = refused_case(tmp_path, "charmap-building-on-1")
-    path = [str(Path(biersphere.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-m", "biersphere.cli", *argv],
         capture_output=True,
         text=True,
         cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        env=module_env(),
     )
     assert_refused(tmp_path, inputs, code, reason, (proc.returncode, proc.stdout, proc.stderr))
+
+
+# One 12-label facet on [13]: its Bier sphere has 4,096 facets, about 0.5 MB
+# of JSON in about 61k tokens, so its output spans many write batches and
+# overfills any pipe buffer.
+FACET_12 = {"m": 13, "facets": [list(range(1, 13))]}
+
+
+@pytest.mark.parametrize("command, build", [("sphere", bier_sphere), ("dual", alexander_dual)])
+def test_stdout_is_json_dumps(capsys, tmp_path, command, build):
+    code, out, _ = run(capsys, command, write(tmp_path / "k.json", FACET_12))
+    obj = build(SimplicialComplex.from_json_obj(FACET_12)).to_json_obj()
+    assert (code, out) == (0, json.dumps(obj, indent=2) + "\n")
+
+
+class CountingSink:
+    """A stdout that counts its writes and keeps nothing."""
+
+    def __init__(self):
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return len(text)
+
+
+def test_json_is_written_as_it_is_encoded(monkeypatch):
+    """Encoded whole, the text peaks at about 8 times its length in token
+    strings; one write per token would be a system call each on an
+    unbuffered stdout."""
+    obj = bier_sphere(SimplicialComplex.from_json_obj(FACET_12)).to_json_obj()
+    size = len(json.dumps(obj, indent=2))
+    sink = CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        cli._emit(obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size
+    assert 0 < sink.writes <= 40
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_stdout_exits_1_quietly(tmp_path, unbuffered):
+    path = write(tmp_path / "k.json", FACET_12)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "biersphere.cli", "sphere", path],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=module_env(PYTHONUNBUFFERED=unbuffered),
+    )
+    assert proc.stdout.read(64).startswith(b"{")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_stdout_closed_before_a_short_output(tmp_path, unbuffered):
+    """A buffered output that fits the buffer is written at the last flush."""
+    path = write(tmp_path / "k.json", {"m": 4, "facets": [[]]})
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "biersphere.cli", "dual", path],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=module_env(PYTHONUNBUFFERED=unbuffered),
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
