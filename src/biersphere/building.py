@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cache
-from itertools import combinations, permutations
-from operator import mul
+from itertools import combinations, compress, permutations
 
 from .complexes import (
     SimplicialComplex,
@@ -168,7 +167,8 @@ def _realize(B: BuildingSet, y: dict[frozenset[int], int], orderings) -> Nestohe
 
 def _certified_incidence(rows, points, n: int) -> tuple[frozenset[int], ...]:
     """Per integer point, the indices of the halfspaces coeffs . x >= rhs in
-    rows that it is tight on.
+    rows that it is tight on.  Every normal coeffs is the 0/1 indicator of a
+    set, as _realize builds them, so coeffs . x is the sum of x over it.
 
     Raises AssertionError unless each point satisfies every halfspace and is
     tight on exactly n of them, whose normals are independent of each other
@@ -178,16 +178,25 @@ def _certified_incidence(rows, points, n: int) -> tuple[frozenset[int], ...]:
     bounded polytope is connected, so no vertex is missing.  Last, every
     halfspace must be tight at some listed vertex: a halfspace tight at a
     simple vertex is one of its n facets, so each halfspace is a facet.
+
+    Independence is decided over F_2 first: rows independent there have an
+    odd determinant, so a nonzero one, and the exact det_int runs only when
+    _odd_rank finds a dependency.  At a Delzant vertex the determinant is
+    +-1, so no nestohedron and no type-6 vertex reaches det_int.
     """
+    masks = [sum(c << i for i, c in enumerate(coeffs)) for coeffs, _ in rows]
     incidence = []
     for p in points:
-        slack = [sum(map(mul, coeffs, p)) - rhs for coeffs, rhs in rows]
+        slack = [sum(compress(p, coeffs)) - rhs for coeffs, rhs in rows]
         if min(slack, default=0) < 0:
             raise AssertionError(f"point {p} violates a halfspace")
         tight = frozenset(j for j, d in enumerate(slack) if d == 0)
         if len(tight) != n:
             raise AssertionError(f"non-simple vertex {p}: tight on {len(tight)} facets")
-        if det_int([rows[j][0] for j in sorted(tight)] + [(1,) * len(p)]) == 0:
+        level = (1 << len(p)) - 1
+        if not _odd_rank([masks[j] for j in tight] + [level]) and (
+            det_int([rows[j][0] for j in sorted(tight)] + [(1,) * len(p)]) == 0
+        ):
             raise AssertionError(f"point {p} is not a vertex: its tight normals are dependent")
         incidence.append(tight)
     if not ridges_in_two(mask_of(j + 1 for j in t) for t in incidence):
@@ -316,6 +325,21 @@ def realize_p6():
 
 
 # -- Exact linear algebra ---------------------------------------------------
+
+def _odd_rank(masks) -> bool:
+    """Whether the 0/1 rows with these bit masks are independent over F_2,
+    by XOR elimination.  For n + 1 rows on n + 1 coordinates that says
+    their integer determinant is odd, so not 0."""
+    basis = []
+    for r in masks:
+        for b in basis:
+            if r & b & -b:  # b's pivot is its lowest bit, which no later row has
+                r ^= b
+        if not r:
+            return False
+        basis.append(r)
+    return True
+
 
 def det_int(rows: list[list[int]]) -> int:
     """Exact determinant by Bareiss fraction-free elimination."""

@@ -5,7 +5,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from biersphere import complexes, golden, verify
+from biersphere import building, complexes, golden, verify
 from biersphere.building import (
     BuildingSet,
     BuildingSetError,
@@ -238,6 +238,29 @@ def test_dependent_tight_normals_are_refused():
     rows = [((1, 1, 0), 0), ((0, 0, 1), 0)]
     with pytest.raises(AssertionError, match="dependent"):
         _certified_incidence(rows, [(0, 0, 0)], 2)
+
+
+def counted_det_int(monkeypatch) -> list:
+    """The rows of every det_int call that building makes from now on."""
+    calls, det = [], building.det_int
+    monkeypatch.setattr(building, "det_int", lambda rows: calls.append(rows) or det(rows))
+    return calls
+
+
+def test_exact_fallback_decides_when_f2_finds_a_dependency(monkeypatch):
+    # no nestohedron vertex reaches det_int, so force every one through it
+    expected = realize_nestohedron(permutohedron_set(4)), realize_p6()
+    monkeypatch.setattr(building, "_odd_rank", lambda masks: False)
+    calls = counted_det_int(monkeypatch)
+    got = realize_nestohedron(permutohedron_set(4)), realize_p6()
+    assert got == expected
+    assert len(calls) == len(expected[0].vertices) + len(expected[1][0].vertices) == 24 + 12
+
+
+def test_f2_certifies_every_permutohedron_vertex(monkeypatch):
+    calls = counted_det_int(monkeypatch)
+    assert len(realize_nestohedron(permutohedron_set(5)).vertices) == 120
+    assert calls == []
 
 
 def test_sparse_building_set_on_a_wide_ground():

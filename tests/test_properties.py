@@ -18,6 +18,8 @@ from biersphere.bier import (  # noqa: E402
 )
 from biersphere.building import (  # noqa: E402
     _forest_orderings,
+    _odd_rank,
+    det_int,
     nerve_by_truncation,
     nerve_of_realization,
     realize_nestohedron,
@@ -275,3 +277,22 @@ def test_truncation_nerve_is_the_realization_nerve(B):
     trunc = nerve_by_truncation(B)
     assert trunc == nerve_of_realization(realize_nestohedron(B))
     assert trunc == nerve_by_decomposition_search(B)
+
+
+@st.composite
+def normals_with_the_level_row(draw):
+    """n <= 7 random 0/1 rows on n + 1 coordinates, then the all-ones row."""
+    n = draw(st.integers(0, 7))
+    row = st.lists(st.integers(0, 1), min_size=n + 1, max_size=n + 1)
+    return draw(st.lists(row, min_size=n, max_size=n)) + [[1] * (n + 1)]
+
+
+@settings(deadline=None, max_examples=300)
+@given(normals_with_the_level_row())
+@example([[1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 1, 0], [1, 1, 1, 1]])  # determinant 2
+@example([[1, 1, 0], [0, 0, 1], [1, 1, 1]])  # determinant 0
+@example([[1, 0, 0], [0, 1, 0], [1, 1, 1]])  # determinant 1
+def test_odd_rank_is_the_parity_of_the_determinant(rows):
+    # _certified_incidence skips det_int exactly when this is odd, so nonzero
+    masks = [sum(c << i for i, c in enumerate(r)) for r in rows]
+    assert _odd_rank(masks) == (det_int(rows) % 2 == 1)
