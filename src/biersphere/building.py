@@ -72,6 +72,8 @@ class BuildingSet(namedtuple("BuildingSet", "n_plus_1 elements")):
 
 def validate_building_set(elements, n_plus_1: int) -> BuildingSet:
     """Check both axioms and report the violated one."""
+    if n_plus_1 < 1:
+        raise BuildingSetError(f"n_plus_1 must be >= 1, got {n_plus_1}")
     elems = frozenset(frozenset(e) for e in elements)
     ground = frozenset(range(1, n_plus_1 + 1))
     for e in elems:

@@ -29,15 +29,6 @@ moves.  Below such a twin-class partition each level keeps one child, as the
 individualised vertex's cell-mates are its twins, and refines without a
 round, so the search runs down one chain to one leaf.
 
-A refinement round needs the views only to order signatures.  Every vertex of
-a cell has the cell's colour c, and every facet through it holds c; dropping
-one c is injective on sorted colour tuples that hold c, so two vertices of
-the cell have equal signatures exactly when their facets' sorted colour
-tuples are equal as multisets.  A round groups each cell by those tuples and
-forms views only when the cell splits, once per group, to rank the groups as
-their signatures rank; a cell that stays whole, as every cell does in the
-confirming round, forms none.
-
 The census takes a form of every antichain on [m], 7,579 on [5], but
 searches only once per relabelling class.  ``canonical_form`` takes an
 optional memo from a key to a form.  The key is K's ground size and its
@@ -100,17 +91,15 @@ def _refine(
     colors: list[int],
     count: int,
 ) -> tuple[list[int], int]:
-    """Iterate vertex colouring by the multiset of coloured facet views.
+    """Iterate vertex colouring by the multiset of coloured facets.
 
     Colours are ranks 0..count-1.  A vertex's signature is its colour and the
-    sorted views of its facets, a view being the facet's sorted colours with
-    one copy of the vertex's own removed; the new colours rank the distinct
-    signatures in sorted order.  Each signature extends the old colour, so the
-    partition only refines and keeps its order (a singleton cell needs no
-    views): it is stable once the number of colour classes stops growing, or
-    as soon as each cell lies in one twin class (``twin[v]`` names v's class).
-    Views are formed only to rank the groups of a cell that splits, once per
-    group (see the module docstring).
+    sorted colour tuples of the facets through it; the new colours rank the
+    distinct signatures in sorted order.  Each signature extends the old
+    colour, so the partition only refines and keeps its order (a singleton
+    cell needs no tuples): it is stable once the number of colour classes
+    stops growing, or as soon as each cell lies in one twin class
+    (``twin[v]`` names v's class).
     """
     # a cell of twins cannot split, so such a partition (a discrete one too)
     # needs no confirming round
@@ -121,30 +110,18 @@ def _refine(
         sorted_facets = [tuple(sorted(map(colors.__getitem__, f))) for f in facets]
         refined = [0] * len(colors)
         rank = 0
-        for c, cell in enumerate(cells):
+        for cell in cells:
+            parts = [cell]
             if len(cell) > 1:
                 groups: dict[tuple, list[int]] = {}
                 for v in cell:
                     key = tuple(sorted(map(sorted_facets.__getitem__, incident[v])))
                     groups.setdefault(key, []).append(v)
-                if len(groups) > 1:
-                    signed = []
-                    for key, members in groups.items():
-                        views = []
-                        for s in key:
-                            k = s.index(c)
-                            views.append(s[:k] + s[k + 1 :])
-                        views.sort()
-                        signed.append((views, members))
-                    signed.sort()  # the views differ, so members are never compared
-                    for _, members in signed:
-                        for v in members:
-                            refined[v] = rank
-                        rank += 1
-                    continue
-            for v in cell:
-                refined[v] = rank
-            rank += 1
+                parts = [groups[key] for key in sorted(groups)]
+            for part in parts:
+                for v in part:
+                    refined[v] = rank
+                rank += 1
         colors = refined
         if rank == count:
             break
@@ -230,8 +207,8 @@ def _search(masks: tuple[int, ...]) -> tuple[tuple, list[int]]:
     the uniform colouring would: (least encoding, labels 1..n of the first
     leaf that attains it), over vertex indices."""
     n = max(masks).bit_length()  # indices 0..n-1 all occur, the last in the greatest
-    # views, twin tests and leaf encodings are sorted or set-based, so the
-    # facet order does not matter
+    # colour tuples, twin tests and leaf encodings are sorted or set-based, so
+    # the facet order does not matter
     facets, facet_sizes = _by_size(masks, n)
     profiles = list(map(tuple, facet_sizes))
     rank = {s: c for c, s in enumerate(sorted(set(profiles)))}

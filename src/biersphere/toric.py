@@ -22,6 +22,9 @@ class CharMatrix(namedtuple("CharMatrix", "entries labels")):
     def __new__(cls, entries: tuple[tuple[int, ...], ...], labels: tuple[str, ...]):
         if any(len(r) != len(labels) for r in entries):
             raise ValueError("row length does not match label count")
+        if len(set(labels)) != len(labels):
+            repeated = sorted({lab for lab in labels if labels.count(lab) > 1})
+            raise ValueError(f"column labels repeat: {repeated}")
         return super().__new__(cls, entries, labels)
 
     @property

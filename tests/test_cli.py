@@ -413,6 +413,9 @@ TRIANGLE = {"m": 3, "facets": [[1, 2], [1, 3], [2, 3]]}
 DISCONNECTED = {"n_plus_1": 3, "elements": [[1], [2], [3]]}
 ON_1 = {"n_plus_1": 1, "elements": [[1]]}  # no proper element: its nestohedron is a point
 ROWS_4 = {"rows": 4, "cols": 1, "entries": [[1], [0], [0], [0]], "labels": ["a"]}
+REPEATED_LABEL = {
+    "rows": 3, "cols": 2, "entries": [[1, 0], [0, 1], [0, 0]], "labels": ["a", "a"]
+}
 # the minor on facet {1, 3} of TRIANGLE is 2
 NOT_CHARACTERISTIC = {
     "rows": 2, "cols": 3, "entries": [[1, 0, 1], [0, 1, 2]], "labels": ["a", "b", "c"]
@@ -457,10 +460,21 @@ REFUSED = {
     "charmap-building-on-1": (
         "charmap --building b.json", {"b.json": ON_1}, 2, "the nerve is empty"
     ),
+    **{
+        f"{command.split()[0]}-building-on-{n}": (
+            f"{command} b.json", {"b.json": {"n_plus_1": n, "elements": []}}, 2,
+            f"n_plus_1 must be >= 1, got {n}",
+        )
+        for command in ("charmap --building", "nestohedron")
+        for n in (0, -2)
+    },
     "nestohedron-off-not-3d": (
         "nestohedron b.json --off p.off", {"b.json": ON_1}, 2, "needs a 3-polytope"
     ),
     "orientable-4-rows": ("orientable m.json", {"m.json": ROWS_4}, 2, "three rows only"),
+    "orientable-repeated-label": (
+        "orientable m.json", {"m.json": REPEATED_LABEL}, 1, "column labels repeat"
+    ),
     "betti-shape-mismatch": (
         "betti k.json m.json", {"k.json": TRIANGLE, "m.json": M13}, 2, "column count"
     ),

@@ -80,6 +80,13 @@ def test_records_still_validate_on_construction():
     assert CharMatrix(entries=((1, 0),), labels=("a", "b")).cols == 2
 
 
+def test_char_matrix_refuses_repeated_labels():
+    # ``on`` takes the first column of a label, so a repeated one would be
+    # dropped without a word
+    with pytest.raises(ValueError, match=r"column labels repeat: \['a'\]"):
+        CharMatrix(entries=((1, 0, 1),), labels=("a", "b", "a"))
+
+
 def test_no_record_is_rebuilt_past_its_validation():
     for path in sorted(SRC.glob("*.py")):
         found = re.findall(r"\._(?:make|replace)\(", path.read_text())
