@@ -75,13 +75,14 @@ def validate_building_set(elements, n_plus_1: int) -> BuildingSet:
     if n_plus_1 < 1:
         raise BuildingSetError(f"n_plus_1 must be >= 1, got {n_plus_1}")
     elems = frozenset(frozenset(e) for e in elements)
-    ground = frozenset(range(1, n_plus_1 + 1))
+    # both checks read the elements, never the ground, which may be huge
     for e in elems:
-        if not e or not e <= ground:
+        if not e or min(e) < 1 or max(e) > n_plus_1:
             raise BuildingSetError(f"element {sorted(e)} not a nonempty subset of [{n_plus_1}]")
-    for i in ground:
-        if frozenset({i}) not in elems:
-            raise BuildingSetError(f"missing singleton {{{i}}}")
+    singletons = sorted(i for e in elems if len(e) == 1 for i in e)
+    missing = next((i for i, s in enumerate(singletons, 1) if s != i), len(singletons) + 1)
+    if missing <= n_plus_1:
+        raise BuildingSetError(f"missing singleton {{{missing}}}")
     for a, b in combinations(elems, 2):
         if a & b and (a | b) not in elems:
             raise BuildingSetError(

@@ -15,7 +15,21 @@ carry an explored sibling w to v.  Such a g fixes P and preserves K, and the
 refinement commutes with relabelling, so the subtree under P+v is the g-image
 of the subtree under P+w, with the same encodings.  The least encoding, and
 the first leaf in search order that attains it, are therefore those of the
-unpruned search.
+unpruned search.  Automorphisms known before the search (``canonical_form``'s
+``automorphisms``) are kept from the start: the argument needs only that g
+preserves K.
+
+Such a leaf also ends the search below the point where its path leaves the
+other leaf's (backjumping).  g carries the leaf's colouring to the other's,
+and the refinement commutes with relabelling, so it carries the leaf's path
+to a path with the other's discrete colouring, which is the other's path: a
+vertex individualised where two paths part ranks after its cell-mates, and
+refinement keeps that order, so each leaf ranks its own choice last in that
+cell.  If the paths share P and then take v and w, g fixes P pointwise and
+carries v to w, so every leaf under P+v is the g-image of one under P+w,
+with the same encoding.  P+w came first (it is on the first leaf's path, or
+the best leaf came before this one), so its subtree is finished, and the
+search returns to the node at P and goes on with the next sibling of v.
 
 Twins, vertices v and w whose transposition t = (v w) maps K onto itself,
 are such automorphisms known before any leaf; they form classes, found once
@@ -27,11 +41,14 @@ that gives v and w one colour, and refinement commutes with relabelling, so
 the next round gives v and w one colour again, no cell splits and no rank
 moves.  Below such a twin-class partition each level keeps one child, as the
 individualised vertex's cell-mates are its twins, and refines without a
-round, so the search runs down one chain to one leaf.
+round, so the search runs down one chain to one leaf.  The search returns
+the twin transpositions with the automorphisms it kept as its generators;
+on every class on [1..5] they generate Aut of the non-ghost part.
 
 The census takes a form of every antichain on [m], 7,579 on [5], but
 searches only once per relabelling class.  ``canonical_form`` takes an
-optional memo from a key to a form.  The key is K's ground size and its
+optional memo from a key to a form and the generators of the search of
+that key, over the key's vertex indices.  The key is K's ground size and its
 facets relabelled by the vertex order (root colour, index), so equal keys
 mean isomorphic complexes on grounds of one size, whose forms are equal:
 the encoding is an isomorphism invariant, and the ghost count is the
@@ -61,8 +78,16 @@ classes with isomorphic duals have isomorphic spheres.  ``classify_bier``
 takes the dual's form of each class it searches from the enumeration's
 memo, which holds the key of every antichain on [m]; that form is the
 dual's class form, and when that class comes later, it takes the searched
-sphere's form.  A type's minimal non-faces come from
-``bier_mf_formula`` of its first source complex, the formula that
+sphere's form.  For the same reason Aut(K) acts on Bier(K) diagonally,
+x_i -> x_g(i) and y_i -> y_g(i): g preserves K, so its non-faces, its dual
+and their deleted join.  Each sphere search starts from the generators of
+Aut(K) acting so.  They come from the memo too: the enumeration searched
+the key of each class representative, as the first complex of its class
+misses, and the vertex order maps the key's indices to K's labels.  A
+second search of K would cost about 5 ms on [5], and a module-level store
+would outlive the memo, which lives as long as the cached classes.  A
+type's minimal non-faces come from ``bier_mf_formula`` of its first
+source complex, the formula that
 ``verify.check_mf_formula`` checks against every census sphere through
 Alexander duality.  The records are named tuples (see complexes), and a form
 orders as the tuple (ghost count, ground size, facets).
@@ -192,20 +217,47 @@ def _relabelled(K: SimplicialComplex) -> tuple[int, list[int], tuple[int, ...]]:
     return ghosts, order, masks
 
 
-def _canonical_search(K: SimplicialComplex):
-    """Return (canonical facet encoding, labeling old->new) for non-ghosts."""
+def _index_automorphisms(K: SimplicialComplex, order: list[int], automorphisms) -> list:
+    """Label permutations of K, each a sequence whose entry i - 1 is the
+    image of label i, as permutations of the vertex indices of order (the
+    non-ghost labels less one, as ``_relabelled`` gives them).  A ValueError
+    for one that is not a permutation of [m] mapping K's facets onto
+    themselves."""
+    m = K.m
+    index = {v: i for i, v in enumerate(order)}
+    out = []
+    for g in automorphisms:
+        if sorted(g) != list(range(1, m + 1)):
+            raise ValueError(f"not a permutation of [{m}]: {list(g)}")
+        bit = [1 << (image - 1) for image in g]
+        if {sum(map(bit.__getitem__, _positions(f))) for f in K.facets} != K.facets:
+            raise ValueError(f"not an automorphism of the complex: {list(g)}")
+        # g maps the facets, so the vertices, onto themselves
+        out.append([index[g[v] - 1] for v in order])
+    return out
+
+
+def _canonical_search(K: SimplicialComplex, automorphisms=()):
+    """Return (canonical facet encoding, labeling old->new) for non-ghosts;
+    automorphisms as for ``canonical_form``."""
     _, order, masks = _relabelled(K)
+    known = _index_automorphisms(K, order, automorphisms)
     if not order:
         return (), {}
-    enc, labels = _search(masks)
+    enc, labels, _ = _search(masks, known)
     return enc, {v + 1: label for v, label in sorted(zip(order, labels))}
 
 
-def _search(masks: tuple[int, ...]) -> tuple[tuple, list[int]]:
+def _search(
+    masks: tuple[int, ...], known: list[list[int]] = ()
+) -> tuple[tuple, list[int], list[list[int]]]:
     """The search over the vertex indices of masks from the root colouring,
     which ranks the sorted sizes of each vertex's facets as one round from
     the uniform colouring would: (least encoding, labels 1..n of the first
-    leaf that attains it), over vertex indices."""
+    leaf that attains it, generators), over vertex indices.  known holds
+    automorphisms of masks (g[v] the image of v), which prune from the
+    start; the generators are known, the twin transpositions and the
+    automorphisms that leaves reveal."""
     n = max(masks).bit_length()  # indices 0..n-1 all occur, the last in the greatest
     # colour tuples, twin tests and leaf encodings are sorted or set-based, so
     # the facet order does not matter
@@ -233,30 +285,34 @@ def _search(masks: tuple[int, ...]) -> tuple[tuple, list[int]]:
     for j, face in enumerate(facets):
         for i in face:
             incident[i].append(j)
-    first = best = None  # (encoding, labeling as a list over vertex indices)
-    automorphisms: list[list[int]] = []
+    first = best = None  # (encoding, labeling as a list over vertex indices, path)
+    automorphisms: list[list[int]] = list(known)
 
-    def leaf(labeling: list[int]):
+    def leaf(labeling: list[int], path: tuple[int, ...]) -> int | None:
+        """Record a leaf; the level to return to when it repeats a known one."""
         nonlocal first, best
         enc = _encoding(facets, labeling)
         if first is None:
-            first = best = (enc, labeling)
+            first = best = (enc, labeling, path)
             return
-        for known_enc, known in (first, best):
+        for known_enc, known_labeling, known_path in (first, best):
             if enc == known_enc:
                 # known^-1 . labeling maps K onto itself
                 inverse = [0] * n
-                for v, label in enumerate(known):
+                for v, label in enumerate(known_labeling):
                     inverse[label - 1] = v
                 automorphisms.append([inverse[label - 1] for label in labeling])
-                return
+                # the paths leave each other below their common prefix
+                level = 0
+                while path[level] == known_path[level]:
+                    level += 1
+                return level
         if enc < best[0]:
-            best = (enc, labeling)
+            best = (enc, labeling, path)
 
-    def descend(colors: list[int], count: int, path: tuple[int, ...]):
+    def descend(colors: list[int], count: int, path: tuple[int, ...]) -> int | None:
         if count == n:
-            leaf([c + 1 for c in colors])
-            return
+            return leaf([c + 1 for c in colors], path)
         sizes = [0] * count
         for c in colors:
             sizes[c] += 1
@@ -276,27 +332,43 @@ def _search(masks: tuple[int, ...]) -> tuple[tuple, list[int]]:
             # v ranks just after its cell-mates
             branched = [c + 1 if c > target else c for c in colors]
             branched[v] = target + 1
-            descend(*_refine(facets, incident, twin, branched, count + 1), path + (v,))
+            level = descend(*_refine(facets, incident, twin, branched, count + 1), path + (v,))
+            if level is not None and level < len(path):
+                return level
 
     descend(*_refine(facets, incident, twin, root, len(rank)), ())
-    return best
+    twins = []
+    for w, v in enumerate(twin):
+        if v != w:
+            swap = list(range(n))
+            swap[v], swap[w] = w, v
+            twins.append(swap)
+    return best[0], best[1], twins + automorphisms
 
 
-def canonical_form(K: SimplicialComplex, memo: dict | None = None) -> CanonicalForm:
+def canonical_form(
+    K: SimplicialComplex, memo: dict | None = None, automorphisms=()
+) -> CanonicalForm:
     """The form of K.  A memo, a dict that the caller creates and passes to
     every call of one batch, answers K without a search when an earlier
     complex relabelled to the same facets (see the module docstring); a
-    call without one searches as it would with a fresh one."""
+    call without one searches as it would with a fresh one.  The memo keeps
+    each search's generators beside its form.  automorphisms are known
+    automorphisms of K, each a sequence whose entry i - 1 is the image of
+    label i; they prune the search and leave the form as it is.  One that
+    does not map K's facets onto themselves is refused (ValueError)."""
     m = K.m
     ghosts, order, masks = _relabelled(K)
+    known = _index_automorphisms(K, order, automorphisms) if automorphisms else []
     if not order:
         return CanonicalForm(m, m, ())
     memo = {} if memo is None else memo
     key = (m, masks)
-    form = memo.get(key)
-    if form is None:
-        form = memo[key] = CanonicalForm(ghosts, m, _search(masks)[0])
-    return form
+    entry = memo.get(key)
+    if entry is None:
+        enc, _, generators = _search(masks, known)
+        entry = memo[key] = (CanonicalForm(ghosts, m, enc), generators)
+    return entry[0]
 
 
 def isomorphic(K1: SimplicialComplex, K2: SimplicialComplex) -> dict[int, int] | None:
@@ -394,6 +466,22 @@ def _golden_index_by_form() -> dict[CanonicalForm, int]:
     return {canonical_form(golden.golden_sphere(i)): i for i in golden.MF_TABLES}
 
 
+def _lifted_automorphisms(K: SimplicialComplex, memo: dict) -> list[list[int]]:
+    """The generators of Aut(K) that the search of K's key left in memo,
+    acting on both sides of Bier(K): x_i -> x_g(i), y_i -> y_g(i)."""
+    m = K.m
+    _, order, masks = _relabelled(K)
+    if not order:
+        return []
+    lifted = []
+    for h in memo[(m, masks)][1]:
+        g = list(range(1, m + 1))
+        for i, v in enumerate(order):
+            g[v] = order[h[i]] + 1
+        lifted.append(g + [m + image for image in g])
+    return lifted
+
+
 @lru_cache(maxsize=None)
 def classify_bier(m: int) -> ClassificationReport:
     """Group the Bier spheres of all complex classes on [m] by combinatorial type.
@@ -413,7 +501,7 @@ def classify_bier(m: int) -> ClassificationReport:
     for idx, ((cls, K), (_, sphere)) in enumerate(zip(enumerated, census)):
         form = shared.get(cls)
         if form is None:
-            form = canonical_form(sphere)
+            form = canonical_form(sphere, None, _lifted_automorphisms(K, memo))
             shared[canonical_form(alexander_dual(K), memo)] = form
         groups.setdefault(form, (K, sphere, []))[2].append(idx)
 

@@ -138,16 +138,20 @@ def _antichain(masks) -> frozenset[int]:
     return frozenset(kept) if kept else frozenset({0})
 
 
+def _check_ground(m: int) -> None:
+    if m > MAX_GROUND:
+        raise LabelCapError(f"ground size {m} exceeds the {MAX_GROUND}-label cap")
+    if m < 1:
+        raise ValueError(f"ground size must be in 1..{MAX_GROUND}, got {m}")
+
+
 class SimplicialComplex(namedtuple("SimplicialComplex", "m facets")):
     """A simplicial complex given by ground size m and facet antichain (masks)."""
 
     __slots__ = ()
 
     def __new__(cls, m: int, facets: frozenset[int]):
-        if m > MAX_GROUND:
-            raise LabelCapError(f"ground size {m} exceeds the {MAX_GROUND}-label cap")
-        if m < 1:
-            raise ValueError(f"ground size must be in 1..{MAX_GROUND}, got {m}")
+        _check_ground(m)
         full = (1 << m) - 1
         for f in facets:
             if f & ~full:
@@ -161,8 +165,10 @@ class SimplicialComplex(namedtuple("SimplicialComplex", "m facets")):
         """Build from any generating family of faces (1-based label lists).
 
         Dominated and duplicate faces are absorbed; an empty family yields
-        the empty complex on m all-ghost vertices.
+        the empty complex on m all-ghost vertices.  m and every label are
+        checked before any label becomes a mask, whose size is the label's.
         """
+        _check_ground(m)
         masks = []
         for face in facets:
             for v in face:

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -28,6 +31,7 @@ from biersphere.cli import main
 from biersphere.complexes import SimplicialComplex, _antichain, mask_of
 from biersphere.toric import CharMatrix, det_int, fenn_charmap
 from biersphere.verify import golden_polytope
+from test_cli import module_env
 
 
 def read_off(text: str) -> dict:
@@ -114,6 +118,39 @@ def test_validate_accepts_good_set():
 def test_validate_reports_missing_singleton():
     with pytest.raises(BuildingSetError, match="singleton"):
         validate_building_set([[1], [2], [1, 2], [2, 3]], 3)
+
+
+def test_validate_reads_the_elements_not_the_ground():
+    # the missing singleton is found from the elements: building the ground
+    # [10^7] first would take about 578 MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(BuildingSetError, match=r"missing singleton \{4\}"):
+            validate_building_set([[1], [2], [3]], 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_validate_on_a_huge_ground_in_a_capped_process():
+    # a ground of 2^70 labels cannot be built in any memory, so the check
+    # runs in a child capped at 1 GiB of address space: a regression ends in
+    # a MemoryError there instead of exhausting the machine
+    pytest.importorskip("resource")
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from biersphere.building import BuildingSetError, validate_building_set\n"
+        "try:\n"
+        "    validate_building_set([[1], [2], [3]], 2**70)\n"
+        "except BuildingSetError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=module_env(), timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "missing singleton {4}\n", "")
 
 
 def test_validate_reports_union_axiom():

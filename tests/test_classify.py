@@ -1,6 +1,6 @@
 import hashlib
 import random
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -268,8 +268,8 @@ def cross_polytope(d):
 
 def test_cross_polytope_work_is_pinned(monkeypatch):
     # twelve vertices in six twin pairs {i, i + 6} and a vertex-transitive
-    # group of order 2^6 * 6!: twins and the automorphisms that leaves
-    # reveal prune the search to 30 leaves
+    # group of order 2^6 * 6!: twins, the automorphisms that leaves reveal
+    # and the backjumps they allow prune the search to 7 leaves
     K = cross_polytope(6)
     rng = random.Random(29)
     leaves = count_leaves(monkeypatch)
@@ -278,8 +278,58 @@ def test_cross_polytope_work_is_pinned(monkeypatch):
         p = rng.sample(range(1, 13), 12)
         leaves[0] = 0
         forms.add(canonical_form(relabel(K, {i + 1: p[i] for i in range(12)})))
-        assert leaves[0] == 30
+        assert leaves[0] == 7
     assert len(forms) == 1
+
+
+def test_census_sphere_work_is_pinned(monkeypatch):
+    # the 111 sphere searches on [5], each seeded with Aut(K) acting on both
+    # sides and cut short by backjumps; without the seeds they take 746
+    # refinements and 325 leaves, without the backjumps 512 and 199, with
+    # neither 888 and 409
+    bier_census(5)
+    refinements, leaves = count_refinements(monkeypatch), count_leaves(monkeypatch)
+    classify_bier.__wrapped__(5)
+    assert (refinements[0], leaves[0]) == (483, 180)
+
+
+def group_order(n, generators):
+    """The order of the group the permutations of range(n) generate, by closure."""
+    group = frontier = {tuple(range(n))}
+    while frontier:
+        frontier = {tuple(g[x] for x in a) for a in frontier for g in generators} - group
+        group = group | frontier
+    return len(group)
+
+
+def test_search_generators_generate_the_automorphism_group():
+    # twin transpositions and leaf automorphisms against brute force over
+    # every permutation of the vertices, on every class on [1..5]
+    for m in range(1, 6):
+        for K in enumerate_complexes(m):
+            _, order, masks = classify._relabelled(K)
+            if not order:
+                continue
+            n = len(order)
+            generators = classify._search(masks)[2]
+            faces = set(masks)
+            brute = sum(
+                {sum(1 << p[i] for i in range(n) if f >> i & 1) for f in masks} == faces
+                for p in permutations(range(n))
+            )
+            assert group_order(n, generators) == brute
+
+
+def test_canonical_form_refuses_a_non_automorphism():
+    # the path 1 - 2 - 3: its one non-trivial automorphism reverses it
+    K = SimplicialComplex.from_facets(3, [[1, 2], [2, 3]])
+    assert canonical_form(K, automorphisms=[(3, 2, 1)]) == canonical_form(K)
+    assert _canonical_search(K, [(3, 2, 1)]) == _canonical_search(K)
+    for g in [(2, 1, 3), (1, 3, 2), (1, 1, 3), (1, 2)]:
+        with pytest.raises(ValueError):
+            canonical_form(K, automorphisms=[(3, 2, 1), g])
+        with pytest.raises(ValueError):
+            _canonical_search(K, [g])
 
 
 def census_inputs(monkeypatch, m):

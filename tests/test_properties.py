@@ -2,7 +2,7 @@
 the canonical search on random complexes, and of the nestohedron realizer on
 random building sets."""
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -202,6 +202,35 @@ def test_stellar_subdivision_keeps_an_antichain(pair):
 @given(non_simplex_complexes(max_m=7))
 def test_canonical_search_matches_brute_force(K):
     assert _canonical_search(K) == brute_force_canonical_search(K)
+
+
+def automorphisms(K):
+    """Aut(K) by brute force over every permutation of [m], each as the
+    tuple of the images of 1..m."""
+    return [
+        g
+        for g in permutations(range(1, K.m + 1))
+        if {sum(1 << (g[v - 1] - 1) for v in vertices_of(f)) for f in K.facets} == K.facets
+    ]
+
+
+@settings(deadline=None, max_examples=100)
+@given(non_simplex_complexes(max_m=6).filter(lambda K: K.m >= 3), st.randoms(use_true_random=False))
+@example(SimplicialComplex.from_facets(6, [[v] for v in range(1, 7)]), None)  # all of S_6
+def test_sphere_search_seeded_with_aut_k(K, rng):
+    # any subset of Aut(K), acting on both sides of Bier(K) as
+    # x_i -> x_g(i), y_i -> y_g(i), leaves the form and the first best leaf
+    # as they are; brute force on [6] can take seconds, so there the
+    # unseeded search, itself checked against brute force, is the oracle
+    m = K.m
+    group = automorphisms(K)
+    # the explicit example passes no rng and seeds the whole group
+    seeds = rng.sample(group, rng.randint(1, len(group))) if rng else group
+    lifted = [g + tuple(m + image for image in g) for g in seeds]
+    S = bier_sphere(K).complex
+    assert canonical_form(S, automorphisms=lifted) == canonical_form(S)
+    oracle = brute_force_canonical_search(S) if m <= 5 else _canonical_search(S)
+    assert _canonical_search(S, lifted) == oracle
 
 
 @settings(deadline=None, max_examples=150)
