@@ -15,9 +15,8 @@ carry an explored sibling w to v.  Such a g fixes P and preserves K, and the
 refinement commutes with relabelling, so the subtree under P+v is the g-image
 of the subtree under P+w, with the same encodings.  The least encoding, and
 the first leaf in search order that attains it, are therefore those of the
-unpruned search.  Automorphisms known before the search (``canonical_form``'s
-``automorphisms``) are kept from the start: the argument needs only that g
-preserves K.
+unpruned search.  Automorphisms known before the search are kept from the
+start: the argument needs only that g preserves K.
 
 Such a leaf also ends the search below the point where its path leaves the
 other leaf's (backjumping).  g carries the leaf's colouring to the other's,
@@ -83,9 +82,13 @@ x_i -> x_g(i) and y_i -> y_g(i): g preserves K, so its non-faces, its dual
 and their deleted join.  Each sphere search starts from the generators of
 Aut(K) acting so.  They come from the memo too: the enumeration searched
 the key of each class representative, as the first complex of its class
-misses, and the vertex order maps the key's indices to K's labels.  A
-second search of K would cost about 5 ms on [5], and a module-level store
-would outlive the memo, which lives as long as the cached classes.  A
+misses.  ``_sphere_form`` takes them from K's key indices through K's
+vertex order to labels, lifts them to both sides and reads them through
+the sphere's vertex order, so the seeds are permutations of the sphere's
+vertex indices that preserve its masks by construction, and nothing checks
+them again.  A second search of K would cost about 5 ms on [5], and a
+module-level store would outlive the memo, which lives as long as the
+cached classes.  A
 type's minimal non-faces come from ``bier_mf_formula`` of its first
 source complex, the formula that
 ``verify.check_mf_formula`` checks against every census sphere through
@@ -217,34 +220,12 @@ def _relabelled(K: SimplicialComplex) -> tuple[int, list[int], tuple[int, ...]]:
     return ghosts, order, masks
 
 
-def _index_automorphisms(K: SimplicialComplex, order: list[int], automorphisms) -> list:
-    """Label permutations of K, each a sequence whose entry i - 1 is the
-    image of label i, as permutations of the vertex indices of order (the
-    non-ghost labels less one, as ``_relabelled`` gives them).  A ValueError
-    for one that is not a permutation of [m] mapping K's facets onto
-    themselves."""
-    m = K.m
-    index = {v: i for i, v in enumerate(order)}
-    out = []
-    for g in automorphisms:
-        if sorted(g) != list(range(1, m + 1)):
-            raise ValueError(f"not a permutation of [{m}]: {list(g)}")
-        bit = [1 << (image - 1) for image in g]
-        if {sum(map(bit.__getitem__, _positions(f))) for f in K.facets} != K.facets:
-            raise ValueError(f"not an automorphism of the complex: {list(g)}")
-        # g maps the facets, so the vertices, onto themselves
-        out.append([index[g[v] - 1] for v in order])
-    return out
-
-
-def _canonical_search(K: SimplicialComplex, automorphisms=()):
-    """Return (canonical facet encoding, labeling old->new) for non-ghosts;
-    automorphisms as for ``canonical_form``."""
+def _canonical_search(K: SimplicialComplex):
+    """Return (canonical facet encoding, labeling old->new) for non-ghosts."""
     _, order, masks = _relabelled(K)
-    known = _index_automorphisms(K, order, automorphisms)
     if not order:
         return (), {}
-    enc, labels, _ = _search(masks, known)
+    enc, labels, _ = _search(masks)
     return enc, {v + 1: label for v, label in sorted(zip(order, labels))}
 
 
@@ -346,27 +327,21 @@ def _search(
     return best[0], best[1], twins + automorphisms
 
 
-def canonical_form(
-    K: SimplicialComplex, memo: dict | None = None, automorphisms=()
-) -> CanonicalForm:
+def canonical_form(K: SimplicialComplex, memo: dict | None = None) -> CanonicalForm:
     """The form of K.  A memo, a dict that the caller creates and passes to
     every call of one batch, answers K without a search when an earlier
     complex relabelled to the same facets (see the module docstring); a
     call without one searches as it would with a fresh one.  The memo keeps
-    each search's generators beside its form.  automorphisms are known
-    automorphisms of K, each a sequence whose entry i - 1 is the image of
-    label i; they prune the search and leave the form as it is.  One that
-    does not map K's facets onto themselves is refused (ValueError)."""
+    each search's generators beside its form."""
     m = K.m
     ghosts, order, masks = _relabelled(K)
-    known = _index_automorphisms(K, order, automorphisms) if automorphisms else []
     if not order:
         return CanonicalForm(m, m, ())
     memo = {} if memo is None else memo
     key = (m, masks)
     entry = memo.get(key)
     if entry is None:
-        enc, _, generators = _search(masks, known)
+        enc, _, generators = _search(masks)
         entry = memo[key] = (CanonicalForm(ghosts, m, enc), generators)
     return entry[0]
 
@@ -466,20 +441,24 @@ def _golden_index_by_form() -> dict[CanonicalForm, int]:
     return {canonical_form(golden.golden_sphere(i)): i for i in golden.MF_TABLES}
 
 
-def _lifted_automorphisms(K: SimplicialComplex, memo: dict) -> list[list[int]]:
-    """The generators of Aut(K) that the search of K's key left in memo,
-    acting on both sides of Bier(K): x_i -> x_g(i), y_i -> y_g(i)."""
+def _sphere_form(K: SimplicialComplex, S: SimplicialComplex, memo: dict) -> CanonicalForm:
+    """The form of S = Bier(K), searched from the generators of Aut(K) that
+    the search of K's key left in memo, acting on both sides of S as
+    x_i -> x_g(i), y_i -> y_g(i), over S's vertex indices."""
     m = K.m
-    _, order, masks = _relabelled(K)
-    if not order:
-        return []
-    lifted = []
-    for h in memo[(m, masks)][1]:
-        g = list(range(1, m + 1))
-        for i, v in enumerate(order):
-            g[v] = order[h[i]] + 1
-        lifted.append(g + [m + image for image in g])
-    return lifted
+    ghosts, order, masks = _relabelled(S)
+    _, k_order, k_masks = _relabelled(K)
+    index = {v: i for i, v in enumerate(order)}
+    generators = memo[(m, k_masks)][1] if k_order else []  # an all-ghost K: none
+    seeds = []
+    for h in generators:
+        g = list(range(m))  # on labels less one; K's ghosts stay put
+        for i, v in enumerate(k_order):
+            g[v] = k_order[h[i]]
+        g += [m + image for image in g]
+        seeds.append([index[g[v]] for v in order])
+    enc, _, _ = _search(masks, seeds)
+    return CanonicalForm(ghosts, S.m, enc)
 
 
 @lru_cache(maxsize=None)
@@ -501,7 +480,7 @@ def classify_bier(m: int) -> ClassificationReport:
     for idx, ((cls, K), (_, sphere)) in enumerate(zip(enumerated, census)):
         form = shared.get(cls)
         if form is None:
-            form = canonical_form(sphere, None, _lifted_automorphisms(K, memo))
+            form = _sphere_form(K, sphere, memo)
             shared[canonical_form(alexander_dual(K), memo)] = form
         groups.setdefault(form, (K, sphere, []))[2].append(idx)
 

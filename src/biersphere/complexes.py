@@ -296,6 +296,7 @@ class SimplicialComplex(namedtuple("SimplicialComplex", "m facets")):
         return family
 
     def is_flag(self) -> bool:
+        """Every minimal non-face has at most two vertices (public API)."""
         return all(s.bit_count() <= 2 for s in self.minimal_non_faces())
 
     # -- derived complexes ----------------------------------------------

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from itertools import combinations, permutations, product
+from math import factorial
 
 import pytest
 
@@ -320,16 +321,41 @@ def test_search_generators_generate_the_automorphism_group():
             assert group_order(n, generators) == brute
 
 
-def test_canonical_form_refuses_a_non_automorphism():
-    # the path 1 - 2 - 3: its one non-trivial automorphism reverses it
-    K = SimplicialComplex.from_facets(3, [[1, 2], [2, 3]])
-    assert canonical_form(K, automorphisms=[(3, 2, 1)]) == canonical_form(K)
-    assert _canonical_search(K, [(3, 2, 1)]) == _canonical_search(K)
-    for g in [(2, 1, 3), (1, 3, 2), (1, 1, 3), (1, 2)]:
-        with pytest.raises(ValueError):
-            canonical_form(K, automorphisms=[(3, 2, 1), g])
-        with pytest.raises(ValueError):
-            _canonical_search(K, [g])
+def test_orbit_sums_are_the_dedekind_numbers():
+    # orbit-stabilizer: a class on [m] has m! / (|Aut| * ghosts!) labelled
+    # copies; the complexes on [m] but the simplex number M(m) - 2 for the
+    # Dedekind numbers M (OEIS A000372), which also count the empty
+    # antichain and the simplex; |Aut| is the closure of the generators
+    # the memo kept for the class
+    for m, antichains in zip(range(1, 6), (1, 4, 18, 166, 7579)):
+        classes, memo = classify._enumerate_cached(m)
+        total = 0
+        for _, K in classes:
+            _, order, masks = classify._relabelled(K)
+            aut = group_order(len(order), memo[(m, masks)][1]) if order else 1
+            total += factorial(m) // (aut * factorial(m - len(order)))
+        assert total == antichains
+
+
+def test_census_sphere_seeds_are_automorphisms(monkeypatch):
+    # every seed of the 111 sphere searches on [5] is a permutation of the
+    # sphere's vertex indices that maps its facet masks onto themselves
+    bier_census(5)
+    seeds = []
+    search = classify._search
+
+    def checked(masks, known=()):
+        n = max(masks).bit_length()
+        faces = set(masks)
+        for g in known:
+            assert sorted(g) == list(range(n))
+            assert {sum(1 << g[i] for i in range(n) if f >> i & 1) for f in masks} == faces
+        seeds.extend(known)
+        return search(masks, known)
+
+    monkeypatch.setattr(classify, "_search", checked)
+    classify_bier.__wrapped__(5)
+    assert len(seeds) == 211
 
 
 def census_inputs(monkeypatch, m):
@@ -461,11 +487,16 @@ def test_census_searches_one_sphere_per_dual_pair(monkeypatch):
     bier_census(5)
     grounds = []
 
-    def counted(K, *memo):
-        grounds.append(K.m)
-        return canonical_form(K, *memo)
+    def counted(take_form):
+        def call(*args):
+            form = take_form(*args)
+            grounds.append(form.ground_size)
+            return form
 
-    monkeypatch.setattr(classify, "canonical_form", counted)
+        return call
+
+    monkeypatch.setattr(classify, "canonical_form", counted(canonical_form))
+    monkeypatch.setattr(classify, "_sphere_form", counted(classify._sphere_form))
     classify_bier.__wrapped__(5)
     assert grounds.count(10) == 111
     assert grounds.count(5) == 111

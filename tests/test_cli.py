@@ -5,10 +5,13 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import biersphere
 from biersphere import cli, golden
@@ -563,6 +566,9 @@ class CountingSink:
         self.writes += 1
         return len(text)
 
+    def flush(self):
+        pass
+
 
 def test_json_is_written_as_it_is_encoded(monkeypatch):
     """Encoded whole, the text peaks at about 8 times its length in token
@@ -614,3 +620,135 @@ def test_stdout_closed_before_a_short_output(tmp_path, unbuffered):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+# The fuzz oracle: malformed but plausible JSON for every command that reads
+# a file.  Any field, label or element may be an odd JSON value, a huge or
+# negative integer, out of range or missing.  Facets keep at most 12 labels:
+# a k-label facet's Bier sphere has 2^k facets, an output exponential by
+# nature.
+ODD = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=2),
+    st.sampled_from([[], {}, 0, -1, 33, 64, 65, 10**7, 2**70, -(2**70)]),
+)
+
+
+def sometimes_odd(valid, one_in=24):
+    """valid, or about one draw in one_in an odd value; valid shrinks first."""
+    return st.integers(1, one_in).flatmap(lambda r: ODD if r == one_in else valid)
+
+
+def in_range(value, top):
+    """value when it is an integer in 1..top, else top."""
+    return value if type(value) is int and 1 <= value <= top else top
+
+
+@st.composite
+def with_a_key_missing(draw, obj):
+    """obj, with one key dropped now and then, or one odd value in place of
+    the whole object."""
+    obj = dict(obj)
+    drop = draw(st.sampled_from([None] * 12 + list(obj)))
+    obj.pop(drop, None)
+    return draw(sometimes_odd(st.just(obj), one_in=24))
+
+
+@st.composite
+def complex_objs(draw):
+    m = draw(sometimes_odd(st.integers(1, 13)))
+    top = in_range(m, 13)
+    # labels in 1..m, or for one input in eight in 0..m + 1
+    edges = draw(st.integers(1, 8)) == 1
+    label = st.integers(0, top + 1) if edges else sometimes_odd(st.integers(1, top), one_in=40)
+    facets = st.lists(sometimes_odd(st.lists(label, max_size=12)), max_size=3)
+    obj = {"m": m, "facets": draw(sometimes_odd(facets))}
+    if draw(st.booleans()):
+        obj["source_m"] = draw(sometimes_odd(st.integers(1, 7)))
+    return draw(with_a_key_missing(obj))
+
+
+@st.composite
+def building_objs(draw):
+    n = draw(sometimes_odd(st.integers(1, 6)))
+    top = in_range(n, 6)
+    elements = set(draw(st.lists(st.frozensets(st.integers(1, top), min_size=1), max_size=6)))
+    if draw(st.booleans()):
+        # a connected building set: the singletons, the ground and every
+        # union of meeting elements
+        elements |= {frozenset({i}) for i in range(1, top + 1)} | {frozenset(range(1, top + 1))}
+        grown = True
+        while grown:
+            unions = {a | b for a in elements for b in elements if a & b}
+            grown = not unions <= elements
+            elements |= unions
+    label = sometimes_odd(st.integers(0, top + 1), one_in=40)
+    odd = [draw(st.lists(label, min_size=1, max_size=3)) for _ in range(draw(st.integers(0, 1)))]
+    obj = {"n_plus_1": n, "elements": sorted(map(sorted, elements)) + odd}
+    return draw(with_a_key_missing(obj))
+
+
+@st.composite
+def matrix_objs(draw, cols=None):
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(1, 8)) if cols is None else cols
+    entry = sometimes_odd(st.integers(-1, 2), one_in=40)
+    entries = st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+    labels = st.lists(st.text(max_size=2), min_size=cols, max_size=cols, unique=True)
+    obj = {
+        "rows": draw(sometimes_odd(st.just(rows))),
+        "cols": draw(sometimes_odd(st.just(cols))),
+        "entries": draw(sometimes_odd(entries)),
+        "labels": draw(sometimes_odd(labels)),
+    }
+    return draw(with_a_key_missing(obj))
+
+
+@st.composite
+def betti_inputs(draw):
+    K = draw(complex_objs())
+    m = K.get("m") if isinstance(K, dict) else None
+    return {"k.json": K, "m.json": draw(matrix_objs(in_range(m, 13)))}
+
+
+# argv, with the names of its input files, and the inputs' strategy
+FUZZED = [
+    *((f"{command} k.json", st.fixed_dictionaries({"k.json": complex_objs()}))
+      for command in ("dual", "sphere", "invariants", "charmap --bier")),
+    *((argv, st.fixed_dictionaries({"b.json": building_objs()}))
+      for argv in ("charmap --building b.json", "nestohedron b.json",
+                   "nestohedron b.json --nerve n.json")),
+    ("orientable m.json", st.fixed_dictionaries({"m.json": matrix_objs()})),
+    ("betti k.json m.json", betti_inputs()),
+]
+FUZZ_PEAK = 4 << 20  # bytes traced; a 12-label facet on [13] peaks near 1.4 MiB (sphere)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(FUZZED).flatmap(lambda c: st.tuples(st.just(c[0]), c[1])))
+def test_fuzzed_input_is_answered_or_refused(tmp_path_factory, case):
+    """No exception escapes main, the exit code is one the cli docstring
+    names, a refusal is one error line, and memory stays small."""
+    argv, inputs = case
+    folder = tmp_path_factory.getbasetemp() / "fuzz"
+    folder.mkdir(exist_ok=True)
+    for name, obj in inputs.items():
+        write(folder / name, obj)
+    argv = [str(folder / arg) if arg.endswith(".json") else arg for arg in argv.split()]
+    err = StringIO()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(CountingSink()), redirect_stderr(err):
+            code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code in (0, 1, 2, 3)
+    lines = err.getvalue().splitlines()
+    if code:
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    else:
+        assert not any(line.startswith("error:") for line in lines)
+    assert peak < FUZZ_PEAK

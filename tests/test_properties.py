@@ -10,6 +10,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from biersphere import classify  # noqa: E402
 from biersphere.bier import (  # noqa: E402
     alexander_dual,
     bier_mf_formula,
@@ -219,18 +220,25 @@ def automorphisms(K):
 @example(SimplicialComplex.from_facets(6, [[v] for v in range(1, 7)]), None)  # all of S_6
 def test_sphere_search_seeded_with_aut_k(K, rng):
     # any subset of Aut(K), acting on both sides of Bier(K) as
-    # x_i -> x_g(i), y_i -> y_g(i), leaves the form and the first best leaf
-    # as they are; brute force on [6] can take seconds, so there the
-    # unseeded search, itself checked against brute force, is the oracle
+    # x_i -> x_g(i), y_i -> y_g(i) and taken to the sphere's vertex indices,
+    # leaves the encoding and the first best leaf as they are; brute force
+    # on [6] can take seconds, so there the unseeded search, itself checked
+    # against brute force, is the oracle
     m = K.m
     group = automorphisms(K)
     # the explicit example passes no rng and seeds the whole group
     seeds = rng.sample(group, rng.randint(1, len(group))) if rng else group
-    lifted = [g + tuple(m + image for image in g) for g in seeds]
     S = bier_sphere(K).complex
-    assert canonical_form(S, automorphisms=lifted) == canonical_form(S)
-    oracle = brute_force_canonical_search(S) if m <= 5 else _canonical_search(S)
-    assert _canonical_search(S, lifted) == oracle
+    _, order, masks = classify._relabelled(S)
+    index = {v: i for i, v in enumerate(order)}
+    lifted = [g + tuple(m + image for image in g) for g in seeds]
+    known = [[index[g[v] - 1] for v in order] for g in lifted]
+    enc, labels, _ = classify._search(masks, known)
+    if m <= 5:
+        oracle = brute_force_canonical_search(S)
+        assert (enc, {v + 1: label for v, label in zip(order, labels)}) == oracle
+    else:
+        assert (enc, labels) == classify._search(masks)[:2]
 
 
 @settings(deadline=None, max_examples=150)
